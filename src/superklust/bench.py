@@ -9,8 +9,8 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from ._nearest import k_nearest_sets, sq_norms
 from .clustering import KMeansConfig
 from .datasets import (
     Dataset,
@@ -92,29 +92,19 @@ def knn_predict(model: KnnModel, X) -> np.ndarray:
     """Exact Euclidean KNN with majority vote.
 
     Neighbors are the first n_neighbors training points ordered by
-    (distance, training index); vote ties go to the lowest class id.
-    Queries are processed in chunks to bound the distance-matrix memory.
+    (exact explicit-difference squared distance, training index); vote
+    ties go to the lowest class id. Distances are screened by one GEMM
+    per block of queries, which bounds the distance-matrix memory.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.X.shape[1]:
         raise ValueError(
             f"dimension mismatch: queries must be 2-D with {model.X.shape[1]} features"
         )
-    q = X.shape[0]
-    k = model.n_neighbors
-    preds = np.empty(q, dtype=np.int64)
-    chunk = max(1, int(4_000_000 // max(1, model.X.shape[0])))
-    for start in range(0, q, chunk):
-        stop = min(start + chunk, q)
-        d2 = cdist(X[start:stop], model.X, "sqeuclidean")
-        # stable sort keeps training order among equal distances
-        nn = np.argsort(d2, axis=1, kind="stable")[:, :k]
-        votes = model.y[nn]
-        rows = stop - start
-        offsets = votes + np.arange(rows)[:, None] * model.n_classes
-        counts = np.bincount(offsets.ravel(), minlength=rows * model.n_classes)
-        preds[start:stop] = counts.reshape(rows, model.n_classes).argmax(axis=1)
-    return preds
+    nn = k_nearest_sets(X, model.X, model.n_neighbors, np.sqrt(sq_norms(X)))
+    offsets = model.y[nn] + np.arange(X.shape[0])[:, None] * model.n_classes
+    counts = np.bincount(offsets.ravel(), minlength=X.shape[0] * model.n_classes)
+    return counts.reshape(X.shape[0], model.n_classes).argmax(axis=1)
 
 
 @dataclass

@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
+
+from ._nearest import exact_sq_dists, nearest, rounding_bound, sq_norms
 
 __all__ = ["KMeansConfig", "KMeansResult", "kmeans_pp_init", "lloyd", "fit_kmeans"]
 
@@ -83,11 +84,23 @@ def kmeans_pp_init(data, k: int, seed: int) -> np.ndarray:
         raise ValueError(f"k must be >= 1, got {k}")
     n = data.shape[0]
     rng = np.random.default_rng(seed)
+    x_sq = sq_norms(data)
+    x_norms = np.sqrt(x_sq)
+
+    def sq_dists_to(idx: int) -> np.ndarray:
+        # The identity ||x||^2 - 2 x.c + ||c||^2; rows it puts within the
+        # rounding bound of zero are recomputed explicitly, so the chosen
+        # row and its duplicates get a weight of exactly 0.
+        c = data[idx]
+        d2 = x_sq - 2.0 * (data @ c) + x_sq[idx]
+        near = ~(d2 > rounding_bound(x_norms, x_norms[idx], data.shape[1]))
+        d2[near] = exact_sq_dists(c, data[near])
+        return d2
 
     n_centers = min(k, n)
     chosen = np.empty(n_centers, dtype=np.intp)
     chosen[0] = rng.integers(n)
-    closest = ((data - data[chosen[0]]) ** 2).sum(axis=1)
+    closest = sq_dists_to(chosen[0])
     for i in range(1, n_centers):
         total = closest.sum()
         if total > 0:
@@ -100,7 +113,7 @@ def kmeans_pp_init(data, k: int, seed: int) -> np.ndarray:
             # will do, duplicates get dropped as empty clusters in lloyd().
             idx = int(rng.integers(n))
         chosen[i] = idx
-        closest = np.minimum(closest, ((data - data[idx]) ** 2).sum(axis=1))
+        np.minimum(closest, sq_dists_to(idx), out=closest)
     return data[chosen].copy()
 
 
@@ -126,17 +139,15 @@ def lloyd(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> KMeansR
     if tol < 0:
         raise ValueError(f"tol must be >= 0, got {tol}")
 
-    n = data.shape[0]
-    rows = np.arange(n)
+    x_norms = np.sqrt(sq_norms(data))
     prev_assign = None
     prev_inertia = None
     history: list[float] = []
     iterations = 0
 
     while True:
-        d2 = cdist(data, centers, "sqeuclidean")
-        assign = d2.argmin(axis=1)
-        inertia = float(d2[rows, assign].sum())
+        assign = nearest(data, centers, x_norms)
+        inertia = float(np.square(data - centers[assign]).sum())
         history.append(inertia)
 
         if prev_assign is not None and np.array_equal(assign, prev_assign):
@@ -148,16 +159,20 @@ def lloyd(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> KMeansR
 
         counts = np.bincount(assign, minlength=centers.shape[0])
         if (counts == 0).any():
-            keep = np.flatnonzero(counts > 0)
-            remap = np.empty(centers.shape[0], dtype=np.intp)
+            keep = np.flatnonzero(counts)
+            remap = np.empty(counts.size, dtype=np.intp)
             remap[keep] = np.arange(keep.size)
-            centers = centers[keep]
             assign = remap[assign]
+            counts = counts[keep]
 
-        new_centers = np.empty_like(centers)
-        for j in range(centers.shape[0]):
-            new_centers[j] = data[assign == j].mean(axis=0)
-        centers = new_centers
+        # Each cluster's rows, in data order, summed as mean(axis=0) sums
+        # them; np.add.reduceat would use a different order.
+        grouped = data[np.argsort(assign, kind="stable")]
+        ends = np.cumsum(counts)
+        centers = np.empty((counts.size, data.shape[1]))
+        for j, (start, stop) in enumerate(zip(ends - counts, ends)):
+            np.add.reduce(grouped[start:stop], axis=0, out=centers[j])
+        centers /= counts[:, None]
         prev_assign = assign
         prev_inertia = inertia
         iterations += 1

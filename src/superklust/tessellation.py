@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
+from ._nearest import block_rows, nearest, sq_norms
 from .clustering import KMeansConfig, fit_kmeans
 
 if TYPE_CHECKING:
@@ -224,10 +224,20 @@ def _check_queries(X, d: int) -> np.ndarray:
 
 def predict(bank: DiscriminantBank, X) -> np.ndarray:
     """Classify each row of X: label of the argmax discriminant, ties to
-    the lowest generator index. One matrix product, no distance loop."""
-    X = _check_queries(X, bank.weights.shape[1])
-    scores = X.astype(bank.weights.dtype, copy=False) @ bank.weights.T + bank.biases
-    return bank.labels[scores.argmax(axis=1)]
+    the lowest generator index. One matrix product per block of rows, no
+    distance loop; blocks bound the memory of the scores."""
+    X = _check_queries(X, bank.weights.shape[1]).astype(bank.weights.dtype, copy=False)
+    n, step = X.shape[0], block_rows(bank.weights.shape[0])
+    if n <= step:
+        scores = X @ bank.weights.T
+        scores += bank.biases
+        return bank.labels[scores.argmax(axis=1)]
+    best = np.empty(n, dtype=np.intp)
+    for start in range(0, n, step):
+        scores = X[start : start + step] @ bank.weights.T
+        scores += bank.biases
+        scores.argmax(axis=1, out=best[start : start + step])
+    return bank.labels[best]
 
 
 def predict_oracle(model: Model, X) -> np.ndarray:
@@ -248,15 +258,15 @@ def correct(model: Model, train: "Dataset", max_passes: int = 100) -> Model:
     """Relabel and prune generators against the training partition.
 
     Each pass: (1) assign every training sample to its nearest generator
-    (exact squared distances, ties to lowest index); (2) give each
-    generator the majority label of its samples, keeping the current
-    label when it ties for the majority and otherwise taking the lowest
-    tied class id; (3) drop generators that received no samples. Stops
-    after a pass that changes nothing, or after max_passes. Training
-    accuracy never decreases: majority relabeling is optimal for the
-    fixed partition, and dropping empty cells leaves every training
-    sample's nearest generator in place (order, hence tie-breaking, is
-    preserved).
+    (exact explicit-difference squared distances, ties to lowest index);
+    (2) give each generator the majority label of its samples, keeping
+    the current label when it ties for the majority and otherwise taking
+    the lowest tied class id; (3) drop generators that received no
+    samples. Stops after a pass that changes nothing, or after
+    max_passes. Training accuracy never decreases: majority relabeling
+    is optimal for the fixed partition, and dropping empty cells leaves
+    every training sample's nearest generator in place (order, hence
+    tie-breaking, is preserved).
     """
     if train.X.shape[0] == 0:
         raise ValueError("training set must not be empty")
@@ -267,30 +277,28 @@ def correct(model: Model, train: "Dataset", max_passes: int = 100) -> Model:
         )
     if max_passes < 1:
         raise ValueError(f"max_passes must be >= 1, got {max_passes}")
+    y = np.asarray(train.y)
+    if y.min() < 0 or y.max() >= model.n_classes:
+        raise ValueError(f"training labels must lie in [0, {model.n_classes})")
 
     points = model.points
     labels = model.labels
     sources = np.array([g.source_class for g in model.generators], dtype=np.int64)
-    y = np.asarray(train.y)
+    x_norms = np.sqrt(sq_norms(train.X))
     passes = 0
 
     while passes < max_passes:
         passes += 1
-        d2 = cdist(train.X, points, "sqeuclidean")
-        assign = d2.argmin(axis=1)
+        assign = nearest(train.X, points, x_norms)
 
-        counts = np.zeros((points.shape[0], model.n_classes), dtype=np.int64)
-        np.add.at(counts, (assign, y), 1)
+        G, C = points.shape[0], model.n_classes
+        counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
+        # An empty cell ties every class at 0 and so keeps its label.
+        tied = counts == counts.max(axis=1, keepdims=True)
+        keep = tied[np.arange(G), labels]
+        new_labels = np.where(keep, labels, tied.argmax(axis=1))
 
-        new_labels = labels.copy()
-        for g in range(points.shape[0]):
-            row = counts[g]
-            if row.sum() == 0:
-                continue
-            tied = np.flatnonzero(row == row.max())
-            new_labels[g] = labels[g] if labels[g] in tied else int(tied[0])
-
-        occupied = counts.sum(axis=1) > 0
+        occupied = counts.any(axis=1)
         changed = bool((new_labels != labels).any() or not occupied.all())
         points = points[occupied]
         labels = new_labels[occupied]

@@ -353,6 +353,37 @@ class TestCorrect:
         with pytest.raises(ValueError, match="max_passes"):
             correct(two_sided_model(), self.blob_train(), max_passes=0)
 
+    def test_one_pass_matches_per_generator_loop(self):
+        # reference: the nearest-generator scan and the per-generator
+        # majority vote written as plain loops
+        rng = np.random.default_rng(70)
+        for _ in range(20):
+            model = random_labeled_model(rng, d=2, n_gen=int(rng.integers(2, 30)))
+            n = int(rng.integers(5, 60))
+            train = Dataset(
+                X=rng.normal(0.0, 3.0, (n, 2)),
+                y=rng.integers(model.n_classes, size=n),
+                n_classes=model.n_classes,
+            )
+            points, labels = model.points, model.labels
+            assign = np.array([((points - x) ** 2).sum(axis=1).argmin() for x in train.X])
+            want_points, want_labels = [], []
+            for g in range(len(points)):
+                votes = np.bincount(train.y[assign == g], minlength=model.n_classes)
+                if votes.sum() == 0:
+                    continue
+                tied = np.flatnonzero(votes == votes.max())
+                want_points.append(points[g])
+                want_labels.append(labels[g] if labels[g] in tied else tied[0])
+            got = correct(model, train, max_passes=1)
+            np.testing.assert_array_equal(got.points, np.array(want_points))
+            np.testing.assert_array_equal(got.labels, want_labels)
+
+    def test_labels_outside_model_classes(self):
+        train = Dataset(X=np.zeros((3, 2)), y=np.array([0, 1, 2]), n_classes=3)
+        with pytest.raises(ValueError, match="training labels"):
+            correct(two_sided_model(), train)
+
 
 class TestFit:
     def test_separated_blobs_perfect_accuracy(self):
