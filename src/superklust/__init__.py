@@ -3,21 +3,11 @@
 Per-class k-means turns each class into a handful of cluster means;
 those means become labeled generator points of a Voronoi tessellation,
 a correction stage relabels or prunes them against the training data,
-and inference is an argmax over precomputed linear discriminants."""
+and inference is an argmax over precomputed linear discriminants.
 
-from .bench import (
-    BenchCell,
-    BenchConfig,
-    BenchReport,
-    KnnModel,
-    TimingStat,
-    emit_report,
-    knn_fit,
-    knn_predict,
-    run_benchmark,
-    synthetic_benchmark_data,
-    time_op,
-)
+The benchmark harness and the dataset fetcher are not imported here;
+import them by module name (superklust.bench, superklust.fetch)."""
+
 from .clustering import KMeansConfig, KMeansResult, fit_kmeans, kmeans_pp_init, lloyd
 from .datasets import (
     Dataset,
@@ -34,7 +24,6 @@ from .datasets import (
     write_dataset_csv,
     write_grid_csv,
 )
-from .fetch import fetch_datasets, verify_checksums
 from .tessellation import (
     DiscriminantBank,
     Generator,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import io
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -119,20 +119,9 @@ class BenchConfig:
     warmup: int = 2
     knn_neighbors: int = 3
     data_dir: str = "data"
-    threads: int | None = None
 
     def snapshot(self) -> dict:
-        return {
-            "k": self.k,
-            "seed": self.seed,
-            "n_restarts": self.n_restarts,
-            "standardize": self.standardize,
-            "repetitions": self.repetitions,
-            "warmup": self.warmup,
-            "knn_neighbors": self.knn_neighbors,
-            "data_dir": self.data_dir,
-            "threads": self.threads,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -1,9 +1,9 @@
 """Command-line front end: synthesize data, fit/save models, predict,
 export decision grids, benchmark, fetch datasets.
 
-Exit codes: 0 success, 1 runtime/IO failure, 2 usage error. Heavy
-imports happen inside the handlers so that --threads can pin BLAS
-thread-count environment variables first.
+Exit codes: 0 success, 1 runtime/IO failure, 2 usage error. The
+benchmark harness and the fetcher are imported inside their handlers,
+so fit, predict, grid and synth never load them.
 """
 
 from __future__ import annotations
@@ -13,6 +13,11 @@ import json
 import os
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from . import datasets, tessellation
+from .clustering import KMeansConfig
 
 
 def _err(message: str) -> None:
@@ -25,10 +30,12 @@ def _data_dir(args) -> str:
     return os.environ.get("DATA_DIR", "data")
 
 
-def _open_out(path: str):
+def _write_out(path: str, text: str) -> None:
+    """Write text to path, or to stdout for '-'."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", newline=""), True
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, newline="")
 
 
 def _parse_label_col(value: str):
@@ -119,7 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", default=None, help="defaults to $DATA_DIR or ./data")
     p.add_argument("--format", choices=["markdown", "csv"], default="markdown")
     p.add_argument("--out", default="-", help="report path ('-' = stdout)")
-    p.add_argument("--threads", type=int, default=None, help="BLAS thread cap")
     p.set_defaults(handler=cmd_bench)
 
     p = sub.add_parser("fetch", help="download benchmark datasets", formatter_class=fmt)
@@ -155,15 +161,11 @@ def cmd_synth(args) -> int:
             _err("--n must be a positive multiple of --classes")
             return 2
 
-    from . import datasets
-
     if args.kind == "moons":
         ds = datasets.make_moons(args.n, args.noise, args.seed)
     elif args.kind == "circles":
         ds = datasets.make_circles(args.n, args.factor, args.noise, args.seed)
     else:
-        import numpy as np
-
         centers = np.random.default_rng(args.seed).uniform(-10.0, 10.0, (args.classes, args.dim))
         ds = datasets.make_gaussian_blobs(args.n // args.classes, centers, args.sigma, args.seed + 1)
     datasets.write_dataset_csv(args.out, ds, header=args.header)
@@ -172,8 +174,6 @@ def cmd_synth(args) -> int:
 
 
 def _load_training(args):
-    from . import datasets
-
     ds = datasets.load_csv(
         args.data, label_column=_parse_label_col(args.label_col), has_header=args.has_header
     )
@@ -188,9 +188,6 @@ def cmd_fit(args) -> int:
     if args.k < 1:
         _err("--k must be >= 1")
         return 2
-    from . import datasets, tessellation
-    from .clustering import KMeansConfig
-
     ds, scaler = _load_training(args)
     config = KMeansConfig(
         k=args.k,
@@ -214,18 +211,21 @@ def cmd_fit(args) -> int:
 
 
 def _apply_scaler(scaler_path: str, X):
-    from .datasets import ScalerParams
-
     doc = json.loads(Path(scaler_path).read_text())
-    params = ScalerParams(mean=doc["mean"], scale=doc["scale"])
+    try:
+        params = datasets.ScalerParams(mean=doc["mean"], scale=doc["scale"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"scaler {scaler_path} needs numeric 'mean' and 'scale' lists") from exc
+    d = X.shape[1]
+    if params.mean.shape != (d,) or params.scale.shape != (d,):
+        raise ValueError(
+            f"scaler {scaler_path} has {params.mean.size} means and {params.scale.size} "
+            f"scales for {d} features"
+        )
     return (X - params.mean) / params.scale
 
 
 def cmd_predict(args) -> int:
-    import numpy as np
-
-    from . import datasets, tessellation
-
     model = tessellation.load_model(Path(args.model).read_bytes())
     truth = None
     if args.label_col is not None:
@@ -239,14 +239,7 @@ def cmd_predict(args) -> int:
         X = _apply_scaler(args.scaler, X)
     bank = tessellation.to_discriminants(model)
     labels = tessellation.predict(bank, X)
-    out, close = _open_out(args.out)
-    try:
-        out.write("label\n")
-        for lab in labels:
-            out.write(f"{int(lab)}\n")
-    finally:
-        if close:
-            out.close()
+    _write_out(args.out, "label\n" + "".join(f"{lab}\n" for lab in labels.tolist()))
     if truth is not None:
         print(f"accuracy: {float((labels == truth).mean()):.4f}")
     return 0
@@ -259,19 +252,12 @@ def cmd_grid(args) -> int:
     if args.resolution < 2:
         _err("--resolution must be >= 2")
         return 2
-    from . import datasets, tessellation
-
     model = tessellation.load_model(Path(args.model).read_bytes())
     bank = tessellation.to_discriminants(model)
     xy, labels = datasets.decision_grid(
         bank, (args.x_min, args.x_max), (args.y_min, args.y_max), args.resolution
     )
-    out, close = _open_out(args.out)
-    try:
-        datasets.write_grid_csv(out, xy, labels)
-    finally:
-        if close:
-            out.close()
+    datasets.write_grid_csv(sys.stdout if args.out == "-" else args.out, xy, labels)
     return 0
 
 
@@ -293,21 +279,14 @@ def cmd_bench(args) -> int:
         warmup=args.warmup,
         knn_neighbors=args.knn_neighbors,
         data_dir=_data_dir(args),
-        threads=args.threads,
     )
-    datasets = [s for s in args.datasets.split(",") if s]
+    names = [s for s in args.datasets.split(",") if s]
     algos = [s for s in args.algos.split(",") if s]
-    if not datasets or not algos:
+    if not names or not algos:
         _err("--datasets and --algos must be nonempty")
         return 2
-    report = run_benchmark(datasets, algos, config)
-    text = emit_report(report, format=args.format)
-    out, close = _open_out(args.out)
-    try:
-        out.write(text)
-    finally:
-        if close:
-            out.close()
+    report = run_benchmark(names, algos, config)
+    _write_out(args.out, emit_report(report, format=args.format))
     failures = [key for key, cell in report.cells.items() if cell.error is not None]
     for name, algo in failures:
         _err(f"cell ({name}, {algo}) failed: {report.cells[(name, algo)].error}")
@@ -342,9 +321,6 @@ def cmd_fetch(args) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     try:
         return args.handler(args)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -31,6 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .datasets import BENCHMARK_DATASETS
+
 # Seed for the satimage/isolet shuffled splits; changing it changes the
 # normalized files, so it is a constant, not a flag.
 _SPLIT_SEED = 0
@@ -179,8 +181,6 @@ _FETCHERS = {
 
 
 def dataset_present(name: str, data_dir) -> bool:
-    from .datasets import BENCHMARK_DATASETS
-
     info = BENCHMARK_DATASETS[name]
     base = Path(data_dir) / name
     return (base / info["train"]).exists() and (base / info["test"]).exists()
@@ -206,8 +206,6 @@ def fetch_datasets(names, data_dir, force: bool = False, progress=None) -> list[
             continue
         _FETCHERS[name](data_dir, manifest, progress)
         for split in ("train", "test"):
-            from .datasets import BENCHMARK_DATASETS
-
             manifest.check(data_dir, data_dir / name / BENCHMARK_DATASETS[name][split])
         fetched.append(name)
     manifest.save()

@@ -23,8 +23,6 @@ from superklust import (
     correct,
     fit,
     fit_kmeans,
-    knn_fit,
-    knn_predict,
     load_benchmark_dataset,
     load_model,
     make_gaussian_blobs,
@@ -34,9 +32,9 @@ from superklust import (
     save_model,
     standardize_apply,
     standardize_fit,
-    time_op,
     to_discriminants,
 )
+from superklust.bench import knn_fit, knn_predict, time_op
 from superklust.fetch import dataset_present
 
 from conftest import benchmark_data_dir, criterion, random_labeled_model

@@ -6,18 +6,15 @@ import time
 import numpy as np
 import pytest
 
-from superklust import (
+from superklust import Dataset, make_gaussian_blobs, predict, to_discriminants
+from superklust.bench import (
     BenchConfig,
-    Dataset,
     emit_report,
     knn_fit,
     knn_predict,
-    make_gaussian_blobs,
-    predict,
     run_benchmark,
     synthetic_benchmark_data,
     time_op,
-    to_discriminants,
 )
 from conftest import random_labeled_model
 
@@ -239,7 +236,7 @@ class TestEmitReport:
         assert "FileNotFoundError" in rows[0]["error"]
 
     def test_empty_report(self):
-        from superklust import BenchReport
+        from superklust.bench import BenchReport
 
         empty = BenchReport(datasets=[], algos=[], cells={})
         md = emit_report(empty, format="markdown")

@@ -188,6 +188,24 @@ class TestPredict:
         accuracy = float(proc.stdout.split("accuracy: ")[1].split()[0])
         assert accuracy >= 0.95
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        [{"mean": [0.0, 0.0]}, {"mean": [0.0, 0.0, 0.0], "scale": [1.0, 1.0, 1.0]}],
+        ids=["missing-scale", "wrong-length"],
+    )
+    def test_bad_scaler_sidecar_exits_1(self, tmp_path, sidecar):
+        data, model_path = self.fitted(tmp_path)
+        scaler = tmp_path / "bad.scaler.json"
+        scaler.write_text(json.dumps(sidecar))
+        proc = run_cli(
+            "predict", "--model", str(model_path), "--data", str(data),
+            "--label-col", "-1", "--scaler", str(scaler),
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+        assert str(scaler) in lines[0]
+
 
 class TestGrid:
     def model_2d(self, tmp_path):
