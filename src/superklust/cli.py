@@ -173,22 +173,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _load_training(args):
-    ds = datasets.load_csv(
-        args.data, label_column=_parse_label_col(args.label_col), has_header=args.has_header
-    )
-    scaler = None
-    if args.standardize:
-        scaler = datasets.standardize_fit(ds)
-        ds = datasets.standardize_apply(scaler, ds)
-    return ds, scaler
-
-
 def cmd_fit(args) -> int:
     if args.k < 1:
         _err("--k must be >= 1")
         return 2
-    ds, scaler = _load_training(args)
+    ds = datasets.load_csv(
+        args.data, label_column=_parse_label_col(args.label_col), has_header=args.has_header
+    )
+    scaler = datasets.standardize_fit(ds) if args.standardize else None
+    if scaler is not None:
+        ds = datasets.standardize_apply(scaler, ds)
     config = KMeansConfig(
         k=args.k,
         max_iter=args.max_iter,
@@ -234,7 +228,7 @@ def cmd_predict(args) -> int:
         )
         X, truth = ds.X, ds.y
     else:
-        X = np.loadtxt(args.data, delimiter=",", skiprows=1 if args.has_header else 0, ndmin=2)
+        X = datasets.load_csv_features(args.data, has_header=args.has_header)
     if args.scaler is not None:
         X = _apply_scaler(args.scaler, X)
     bank = tessellation.to_discriminants(model)

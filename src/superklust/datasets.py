@@ -4,6 +4,8 @@ standardization, and decision-boundary grid export."""
 from __future__ import annotations
 
 import csv
+import itertools
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +20,7 @@ __all__ = [
     "make_circles",
     "make_gaussian_blobs",
     "load_csv",
+    "load_csv_features",
     "load_svmlight",
     "standardize_fit",
     "standardize_apply",
@@ -149,15 +152,16 @@ def make_gaussian_blobs(n_per_class: int, centers, sigma: float, seed: int) -> D
     )
 
 
-def _label_ids(tokens: list[str], label_map: dict[str, int] | None, where: str):
-    """Map raw label tokens to contiguous ids.
+def _labeled(path: Path, X, token_idx, tokens: list[str], label_map: dict[str, int] | None):
+    """Dataset of X whose row i has the distinct label token tokens[token_idx[i]].
 
-    Without a map, distinct tokens sort ascending (numerically when
-    every token parses as a number, else lexicographically) and ids
-    follow that order. With a map, unknown tokens are an error.
+    Without a map, tokens sort ascending (numerically when every token
+    parses as a number, else lexicographically) and ids follow that
+    order; with a map, unknown tokens are an error. The id -> token
+    mapping lands in label_names and in the name metadata.
     """
     if label_map is None:
-        distinct = sorted(set(tokens))
+        distinct = sorted(tokens)
         try:
             distinct.sort(key=float)
         except ValueError:
@@ -168,86 +172,109 @@ def _label_ids(tokens: list[str], label_map: dict[str, int] | None, where: str):
         names[i] = tok
     if any(n is None for n in names):
         raise ValueError("label_map ids must be contiguous from 0")
-    ids = np.empty(len(tokens), dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        if tok not in label_map:
-            raise ValueError(f"{where}: unknown label {tok!r}")
-        ids[i] = label_map[tok]
-    return ids, tuple(str(t) for t in names)
+    unknown = [tok for tok in tokens if tok not in label_map]
+    if unknown:
+        raise ValueError(f"{path.name}: unknown label {unknown[0]!r}")
+    names = tuple(str(t) for t in names)
+    return Dataset(
+        X=X,
+        y=np.array([label_map[tok] for tok in tokens], dtype=np.int64)[token_idx],
+        n_classes=len(names),
+        name=f"{path.name}|labels={','.join(names)}",
+        label_names=names,
+    )
 
 
-def load_csv(
-    path,
-    label_column,
-    has_header: bool = False,
-    label_map: dict[str, int] | None = None,
-) -> Dataset:
-    """Load a delimited text file into a Dataset.
-
-    label_column is a 0-based column index (negative counts from the
-    end) or, when has_header is set, a column name. All other columns
-    become features in file order. Labels
-    map to contiguous ids (see _label_ids); the id -> original-token
-    mapping lands in label_names and in the name metadata.
-    """
-    path = Path(path)
+def _data_row(path: Path, skip: int, line: int = 0, index: int = 0):
+    """Rescan a CSV file for (line number, cells) of the index-th
+    non-blank row after line skip that ends on or after line."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = csv.reader(fh)
+        found = ((rows.line_num, r) for r in rows if r and rows.line_num > max(skip, line - 1))
+        return next(itertools.islice(found, index, None), (line, []))
 
-    line = 1
-    header = None
-    if has_header:
-        if not rows:
-            raise ValueError(f"{path.name}: empty file")
-        header = rows[0]
-        rows = rows[1:]
-        line = 2
-    if not rows:
+
+def _read_csv(path: Path, label_column, has_header: bool):
+    """Parse a CSV file with one pass of numpy's C reader.
+
+    Returns (X, token_idx, tokens): X holds every column but the label
+    column (all of them when label_column is None), tokens the distinct
+    stripped label tokens in order of appearance, token_idx each row's
+    index into tokens. Blank lines are skipped. Errors name the file,
+    the physical line and, for a bad cell, its column.
+    """
+    with open(path, newline="") as fh:
+        rows = csv.reader(fh)
+        header = next(rows, None) if has_header else None
+        skip = rows.line_num
+    if has_header and header is None:
+        raise ValueError(f"{path.name}: empty file")
+    n_cols = len(_data_row(path, skip)[1])
+    if n_cols == 0:
         raise ValueError(f"{path.name}: no data rows")
-
-    n_cols = len(rows[0])
     if isinstance(label_column, str):
         if header is None:
             raise ValueError("label column given by name requires has_header=True")
         if label_column not in header:
             raise ValueError(f"{path.name}: no column named {label_column!r}")
-        label_idx = header.index(label_column)
-    else:
-        label_idx = int(label_column)
-        if label_idx < 0:
-            label_idx += n_cols
-        if not 0 <= label_idx < n_cols:
-            raise ValueError(
-                f"{path.name}: label column {label_column} outside 0..{n_cols - 1}"
-            )
+        label_column = header.index(label_column)
+    elif label_column is not None and not -n_cols <= int(label_column) < n_cols:
+        raise ValueError(f"{path.name}: label column {label_column} outside 0..{n_cols - 1}")
+    label_idx = None if label_column is None else range(n_cols)[int(label_column)]
 
-    feature_idx = [j for j in range(n_cols) if j != label_idx]
-    X = np.empty((len(rows), len(feature_idx)), dtype=np.float64)
-    tokens = []
-    for i, row in enumerate(rows):
-        if len(row) != n_cols:
-            raise ValueError(
-                f"{path.name} line {line + i}: ragged row with {len(row)} columns, expected {n_cols}"
+    # numpy parses every cell but the label, which the interner maps to a
+    # float id once per row. It pulls one line at a time, so where[0] is
+    # the line it failed on.
+    tokens: dict[str, int] = {}
+    intern = {label_idx: lambda tok: tokens.setdefault(tok.strip(), len(tokens))}
+    where = [0]
+    try:
+        with open(path, newline="") as fh:
+            table = np.loadtxt(
+                (text for where[0], text in enumerate(fh, start=1)),
+                delimiter=",", comments=None, quotechar='"', skiprows=skip, ndmin=2,
+                converters=None if label_idx is None else intern,
             )
-        for out_j, j in enumerate(feature_idx):
+    except ValueError as exc:
+        line, row = _data_row(path, skip, line=where[0])
+        reason = str(exc)
+        if row and len(row) != n_cols:
+            reason, row = f"ragged row with {len(row)} columns, expected {n_cols}", []
+        for j, cell in enumerate(row):  # find the first cell numpy rejects
             try:
-                X[i, out_j] = float(row[j])
+                if j != label_idx:
+                    np.loadtxt(['"' + cell.replace('"', '""') + '"'], delimiter=",", quotechar='"')
             except ValueError:
-                raise ValueError(
-                    f"{path.name} line {line + i}, column {j}: "
-                    f"could not parse {row[j]!r} as a number"
-                ) from None
-        tokens.append(row[label_idx].strip())
+                line, reason = f"{line}, column {j}", f"could not parse {cell!r} as a number"
+                break
+        raise ValueError(f"{path.name} line {line}: {reason}") from None
 
-    y, names = _label_ids(tokens, label_map, path.name)
-    return Dataset(
-        X=X,
-        y=y,
-        n_classes=len(names),
-        name=f"{path.name}|labels={','.join(names)}",
-        label_names=names,
-    )
+    if not np.isfinite(table).all():  # label ids are finite
+        i, j = np.argwhere(~np.isfinite(table))[0]
+        line, row = _data_row(path, skip, index=i)
+        raise ValueError(f"{path.name} line {line}, column {j}: non-finite value {row[j]!r}")
+    if label_idx is None:
+        return table, None, []
+    return np.delete(table, label_idx, axis=1), table[:, label_idx].astype(np.int64), list(tokens)
+
+
+def load_csv(
+    path, label_column, has_header: bool = False, label_map: dict[str, int] | None = None
+) -> Dataset:
+    """Load a comma-separated file into a Dataset.
+
+    label_column is a 0-based column index (negative counts from the
+    end) or, when has_header is set, a column name. All other columns
+    become features in file order. Labels map to contiguous ids (see
+    _labeled).
+    """
+    path = Path(path)
+    return _labeled(path, *_read_csv(path, label_column, has_header), label_map)
+
+
+def load_csv_features(path, has_header: bool = False) -> np.ndarray:
+    """Read every column of a CSV file as a feature (load_csv's dialect and errors)."""
+    return _read_csv(Path(path), None, has_header)[0]
 
 
 def load_svmlight(path, n_features: int, label_map: dict[str, int] | None = None) -> Dataset:
@@ -258,47 +285,35 @@ def load_svmlight(path, n_features: int, label_map: dict[str, int] | None = None
     if n_features < 1:
         raise ValueError(f"n_features must be >= 1, got {n_features}")
     rows = []
-    tokens = []
+    tokens: dict[str, int] = {}
+    token_idx = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
-            tokens.append(parts[0])
+            token_idx.append(tokens.setdefault(parts[0], len(tokens)))
             row = np.zeros(n_features, dtype=np.float64)
+            where = f"{path.name} line {lineno}"
             for tok in parts[1:]:
                 idx_s, sep, val_s = tok.partition(":")
                 if not sep:
-                    raise ValueError(f"{path.name} line {lineno}: malformed token {tok!r}")
+                    raise ValueError(f"{where}: malformed token {tok!r}")
                 try:
                     idx = int(idx_s)
                 except ValueError:
-                    raise ValueError(
-                        f"{path.name} line {lineno}: malformed token {tok!r}"
-                    ) from None
+                    raise ValueError(f"{where}: malformed token {tok!r}") from None
                 if not 1 <= idx <= n_features:
-                    raise ValueError(
-                        f"{path.name} line {lineno}: feature index {idx} outside [1, {n_features}]"
-                    )
+                    raise ValueError(f"{where}: feature index {idx} outside [1, {n_features}]")
                 try:
                     row[idx - 1] = float(val_s)
                 except ValueError:
-                    raise ValueError(
-                        f"{path.name} line {lineno}: could not parse value in token {tok!r}"
-                    ) from None
+                    raise ValueError(f"{where}: could not parse value in token {tok!r}") from None
             rows.append(row)
     if not rows:
         raise ValueError(f"{path.name}: no data rows")
-
-    y, names = _label_ids(tokens, label_map, path.name)
-    return Dataset(
-        X=np.vstack(rows),
-        y=y,
-        n_classes=len(names),
-        name=f"{path.name}|labels={','.join(names)}",
-        label_names=names,
-    )
+    return _labeled(path, np.vstack(rows), token_idx, list(tokens), label_map)
 
 
 def standardize_fit(train: Dataset) -> ScalerParams:
@@ -342,19 +357,17 @@ def decision_grid(bank: DiscriminantBank, x_range, y_range, resolution: int):
     return xy, predict(bank, xy)
 
 
+def _text_out(out):
+    """A context holding out: a new file for a path, else the stream itself."""
+    return open(out, "w", newline="") if isinstance(out, (str, Path)) else nullcontext(out)
+
+
 def write_grid_csv(out, xy: np.ndarray, labels: np.ndarray) -> None:
     """Write grid rows as CSV with header "x,y,label"."""
-    close = False
-    if isinstance(out, (str, Path)):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        out.write("x,y,label\n")
+    with _text_out(out) as fh:
+        fh.write("x,y,label\n")
         for (x, y), lab in zip(xy, labels):
-            out.write(f"{float(x)!r},{float(y)!r},{int(lab)}\n")
-    finally:
-        if close:
-            out.close()
+            fh.write(f"{float(x)!r},{float(y)!r},{int(lab)}\n")
 
 
 def write_dataset_csv(out, ds: Dataset, header: bool = True) -> None:
@@ -362,18 +375,11 @@ def write_dataset_csv(out, ds: Dataset, header: bool = True) -> None:
     integer class id in a final "label" column. Floats use their
     shortest round-trip form, so identical datasets give identical
     bytes."""
-    close = False
-    if isinstance(out, (str, Path)):
-        out = open(out, "w", newline="")
-        close = True
-    try:
+    with _text_out(out) as fh:
         if header:
-            out.write(",".join([f"x{j}" for j in range(ds.d)] + ["label"]) + "\n")
+            fh.write(",".join([f"x{j}" for j in range(ds.d)] + ["label"]) + "\n")
         for row, lab in zip(ds.X, ds.y):
-            out.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
-    finally:
-        if close:
-            out.close()
+            fh.write(",".join(repr(float(v)) for v in row) + f",{int(lab)}\n")
 
 
 # On-disk layout written by the fetch step; loaders only touch local files.

@@ -379,7 +379,7 @@ def save_model(model: Model) -> bytes:
         "correction_iterations": model.correction_iterations,
         "generators": [
             {
-                "point": [float(v) for v in g.point],
+                "point": g.point.tolist(),
                 "label": int(g.label),
                 "source_class": int(g.source_class),
             }

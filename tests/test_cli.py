@@ -94,6 +94,15 @@ class TestFit:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error:")
 
+    def test_non_finite_cell_names_file_and_line(self, tmp_path):
+        data = tmp_path / "train.csv"
+        data.write_text("0.5,1.0,0\n1.5,2.0,1\n0.25,nan,0\n")
+        proc = run_cli("fit", "--data", str(data), "--k", "1", "--out", str(tmp_path / "m.json"))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: train.csv line 3, column 1: non-finite value 'nan'"
+        ]
+
     def test_bad_k_exits_2(self, tmp_path):
         data = synth(tmp_path, "moons", "--n", "20")
         proc = run_cli(
@@ -163,6 +172,25 @@ class TestPredict:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[0] == "label"
         assert "accuracy" not in proc.stdout
+
+    @pytest.mark.parametrize(
+        "bad_row,message",
+        [
+            ("0.3,oops", "features.csv line 3, column 1: could not parse 'oops' as a number"),
+            ("0.3,0.4,0.5", "features.csv line 3: ragged row with 3 columns, expected 2"),
+            ("-inf,0.4", "features.csv line 3, column 0: non-finite value '-inf'"),
+        ],
+        ids=["bad-cell", "ragged", "non-finite"],
+    )
+    def test_features_only_bad_row_exits_1(self, tmp_path, bad_row, message):
+        _, model_path = self.fitted(tmp_path)
+        features = tmp_path / "features.csv"
+        features.write_text(f"x0,x1\n0.1,0.2\n{bad_row}\n")
+        proc = run_cli(
+            "predict", "--model", str(model_path), "--data", str(features), "--has-header"
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [f"error: {message}"]
 
     def test_scaler_round_trip(self, tmp_path):
         data = synth(tmp_path, "blobs", "--n", "200", "--classes", "2", "--sigma", "0.5")

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,27 @@ from superklust import (
     write_dataset_csv,
     write_grid_csv,
 )
+from superklust.datasets import load_csv_features
 from conftest import random_labeled_model
+
+
+def float_per_cell(text: str, label_column: int, skip: int = 0):
+    """Reference reader: csv rows, float() on every feature cell, the
+    label cell stripped."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))[skip:]
+    label_idx = label_column % len(rows[0])
+    X = [[float(c) for j, c in enumerate(row) if j != label_idx] for row in rows]
+    return np.array(X, dtype=np.float64), [row[label_idx].strip() for row in rows]
+
+
+def adversarial_values_csv() -> str:
+    rng = np.random.default_rng(31)
+    values = rng.uniform(-1.0, 1.0, 60) * 10.0 ** rng.integers(-300, 301, 60)
+    cells = [repr(float(v)) for v in values]
+    cells += ["-0.0", "5e-324", "2.2250738585072014e-309", "+1.5", "+2e-300", " 3.25 ", "\t-4e+300 "]
+    cells += ["1e-320", "0.1", "0.30000000000000004", "123456789.12345678", "-1.7976931348623157e308"]
+    rows = [cells[i : i + 6] for i in range(0, 72, 6)]
+    return "".join(",".join(row) + f",c{i % 3}\n" for i, row in enumerate(rows))
 
 
 class TestDatasetType:
@@ -243,6 +266,82 @@ class TestLoadCsv:
         p.write_text("1,2,A\n")
         with pytest.raises(ValueError, match="contiguous"):
             load_csv(p, label_column=2, label_map={"A": 0, "B": 2})
+
+    @pytest.mark.parametrize(
+        "text,label_column",
+        [
+            (adversarial_values_csv(), -1),
+            ("1.5,2,A\r\n-3,4e-5,B\r\n", 2),
+            ('"1.5","-2e300",A\n3,"4",B\n', 2),
+            ('1,2,"A,1"\n3,4,"B""2"\n', -1),
+            ("1,2,a#b\n3,4,#c\n", 2),
+            ("1,2, A \n3,4,A\n5,6,  B\n", 2),
+            ("x,1,2\ny,3,4\n", 0),
+        ],
+        ids=["adversarial-values", "crlf", "quoted-cells", "quoted-label", "hash-in-label",
+             "label-spaces", "label-first"],
+    )
+    def test_matches_float_per_cell(self, tmp_path, text, label_column):
+        p = tmp_path / "data.csv"
+        p.write_bytes(text.encode())
+        ds = load_csv(p, label_column=label_column)
+        X, tokens = float_per_cell(text, label_column)
+        assert ds.X.tobytes() == X.tobytes()
+        assert [ds.label_names[i] for i in ds.y] == tokens
+
+    def test_header_named_column_matches_float_per_cell(self, tmp_path):
+        text = "f0,cls,f1\n1e300,b,-0.0\n+2.5, a ,5e-324\n"
+        p = tmp_path / "data.csv"
+        p.write_text(text)
+        ds = load_csv(p, label_column="cls", has_header=True)
+        X, tokens = float_per_cell(text, 1, skip=1)
+        assert ds.X.tobytes() == X.tobytes()
+        assert ds.label_names == ("a", "b")
+        assert [ds.label_names[i] for i in ds.y] == tokens
+
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("\n1,2,A\n\n\r\n3,4,B\n\n")
+        ds = load_csv(p, label_column=2)
+        np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
+        assert ds.label_names == ("A", "B")
+
+    @pytest.mark.parametrize(
+        "text,has_header,where",
+        [
+            ("a,b,c\n1,2,A\n\n3,oops,B\n", True, "data.csv line 4, column 1: could not parse 'oops'"),
+            ("1,2,A\n\n\n3,4\n", False, "data.csv line 4: ragged row with 2 columns, expected 3"),
+            ('1,2,"A\nB"\n3,4,C,5\n', False, "data.csv line 3: ragged row with 4 columns"),
+            ("a,b,c\n\n1,2,A\n3,nan,B\n", True, "data.csv line 4, column 1: non-finite value 'nan'"),
+        ],
+        ids=["bad-cell", "ragged", "ragged-after-quoted-newline", "non-finite"],
+    )
+    def test_error_lines_count_physical_lines(self, tmp_path, text, has_header, where):
+        p = tmp_path / "data.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError, match=where):
+            load_csv(p, label_column=2, has_header=has_header)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, cell):
+        p = tmp_path / "data.csv"
+        p.write_text(f"A,1,2\nB,3,{cell}\n")
+        with pytest.raises(ValueError, match=rf"data.csv line 2, column 2: non-finite value '{cell}'"):
+            load_csv(p, label_column=0)
+
+    def test_python_only_number_spelling_rejected(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("1,2,A\n1_000,2,B\n")
+        with pytest.raises(ValueError, match=r"data.csv line 2, column 0: could not parse '1_000'"):
+            load_csv(p, label_column=2)
+
+    def test_features_reader_shares_dialect_and_errors(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text('x0,x1\n1.5,"-2"\n\n3,4\n')
+        np.testing.assert_array_equal(load_csv_features(p, has_header=True), [[1.5, -2.0], [3.0, 4.0]])
+        p.write_text("1,2\n3,4,5\n")
+        with pytest.raises(ValueError, match="data.csv line 2: ragged row with 3 columns, expected 2"):
+            load_csv_features(p)
 
 
 class TestLoadSvmlight:

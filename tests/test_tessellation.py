@@ -485,6 +485,18 @@ class TestSerialization:
         assert loaded == model
         assert save_model(loaded) == blob
 
+    def test_float_bytes_pinned(self):
+        point = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 0.30000000000000004]
+        model = Model(
+            generators=[Generator(point=point, label=0, source_class=0)], n_classes=1, d=5, k=1
+        )
+        assert save_model(model) == (
+            b'{"version":1,"d":5,"n_classes":1,"k":1,"correction_iterations":0,"generators":'
+            b'[{"point":[-0.0,5e-324,1.7976931348623157e+308,0.1,0.30000000000000004],'
+            b'"label":0,"source_class":0}]}\n'
+        )
+        assert load_model(save_model(model)) == model
+
     def test_round_trip_from_str(self):
         model = self.fitted_model()
         assert load_model(save_model(model).decode("utf-8")) == model
