@@ -4,6 +4,7 @@ the tessellation classifier against a brute-force KNN baseline."""
 from __future__ import annotations
 
 import io
+import os
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -178,7 +179,9 @@ def run_benchmark(datasets: list, algos: list[str], config: BenchConfig) -> Benc
     Per cell: training is timed over the full fit, accuracy computed
     once, inference timed over the full test set. Loading and
     standardization happen before the clock starts. A failing cell
-    records its error and the rest still run.
+    records its error and the rest still run. The report's config holds
+    the BenchConfig fields, the names run and, under "env", the
+    environment the run was measured in.
     """
     names = []
     cells = {}
@@ -205,7 +208,21 @@ def run_benchmark(datasets: list, algos: list[str], config: BenchConfig) -> Benc
         **config.snapshot(),
         "datasets": names,
         "algos": list(algos),
+        "env": _environment(),
     })
+
+
+def _environment() -> dict:
+    """The environment a benchmark really ran in: the OS threads of this
+    process after a warm GEMM (None without /proc), the numpy version
+    and the core count."""
+    warm = np.ones((256, 256))
+    warm @ warm
+    try:
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:
+        threads = None
+    return {"threads": threads, "numpy": np.__version__, "cpu_count": os.cpu_count()}
 
 
 def _run_cell(algo: str, train: Dataset, test: Dataset, config: BenchConfig) -> BenchCell:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
@@ -310,6 +311,8 @@ def load_svmlight(path, n_features: int, label_map: dict[str, int] | None = None
                     row[idx - 1] = float(val_s)
                 except ValueError:
                     raise ValueError(f"{where}: could not parse value in token {tok!r}") from None
+                if not math.isfinite(row[idx - 1]):
+                    raise ValueError(f"{where}: non-finite value in token {tok!r}")
             rows.append(row)
     if not rows:
         raise ValueError(f"{path.name}: no data rows")

@@ -9,8 +9,11 @@ nearest generator. Because
 and ||x||^2 does not depend on the generator, the nearest-generator rule
 equals an argmax over the linear discriminants w = 2 g, b = -||g||^2.
 That makes the classifier piecewise linear and turns batch inference
-into a single matrix product. The order of generators is part of the
-model: all ties break to the lowest index.
+into a single matrix product: the bank stores each form as one column
+[w; b] of a (d+1, G) matrix, so a block of queries with a column of
+ones appended, [x, 1], is scored, biases included, by one GEMM per
+block of rows, followed by a row-wise argmax. The order of generators
+is part of the model: all ties break to the lowest index.
 """
 
 from __future__ import annotations
@@ -141,12 +144,26 @@ class Model:
 
 @dataclass(eq=False)
 class DiscriminantBank:
-    """Linear forms (weights, biases, labels) realizing the
-    nearest-generator rule; see the module docstring for the identity."""
+    """Linear forms realizing the nearest-generator rule; see the module
+    docstring for the identity.
 
-    weights: np.ndarray
-    biases: np.ndarray
+    forms is the (d+1, G) matrix whose column j is generator j's form
+    [w_j; b_j]; weights and biases are views of it, not copies. labels
+    holds each generator's class in model order.
+    """
+
+    forms: np.ndarray
     labels: np.ndarray
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The (G, d) weights w = 2 g."""
+        return self.forms[:-1].T
+
+    @property
+    def biases(self) -> np.ndarray:
+        """The (G,) biases b = -||g||^2."""
+        return self.forms[-1]
 
 
 def assemble(per_class_centers: list[np.ndarray], k: int | None = None) -> Model:
@@ -203,11 +220,10 @@ def to_discriminants(model: Model, dtype=np.float64) -> DiscriminantBank:
     on queries within float32 rounding of a cell boundary.
     """
     points = model.points.astype(dtype)
-    return DiscriminantBank(
-        weights=2.0 * points,
-        biases=-(points * points).sum(axis=1),
-        labels=model.labels,
-    )
+    forms = np.empty((model.d + 1, points.shape[0]), dtype=dtype)
+    forms[:-1] = (2.0 * points).T
+    forms[-1] = -(points * points).sum(axis=1)
+    return DiscriminantBank(forms=forms, labels=model.labels)
 
 
 def _check_queries(X, d: int) -> np.ndarray:
@@ -216,27 +232,39 @@ def _check_queries(X, d: int) -> np.ndarray:
         raise ValueError("queries must form a 2-D matrix")
     if X.shape[1] != d:
         raise ValueError(f"dimension mismatch: queries have {X.shape[1]} features, expected {d}")
-    bad = ~np.isfinite(X).all(axis=1)
-    if bad.any():
-        raise ValueError(f"non-finite feature in query row {int(np.flatnonzero(bad)[0])}")
+    if not np.isfinite(X).all():
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
+        raise ValueError(f"non-finite feature in query row {bad}")
     return X
 
 
 def predict(bank: DiscriminantBank, X) -> np.ndarray:
     """Classify each row of X: label of the argmax discriminant, ties to
-    the lowest generator index. One matrix product per block of rows, no
-    distance loop; blocks bound the memory of the scores."""
-    X = _check_queries(X, bank.weights.shape[1]).astype(bank.weights.dtype, copy=False)
-    n, step = X.shape[0], block_rows(bank.weights.shape[0])
+    the lowest generator index.
+
+    Rows are copied, in blocks, into a query matrix [x, 1] that one GEMM
+    per block scores against bank.forms, biases included; a row-wise
+    argmax follows. No distance loop. A call holds one block of at most
+    _nearest.BLOCK_ENTRIES scores and its (rows, d+1) query block, both
+    reused by every block.
+    """
+    forms = bank.forms
+    d1, G = forms.shape
+    X = _check_queries(X, d1 - 1)
+    n, step = X.shape[0], block_rows(G)
+    queries = np.empty((min(n, step), d1), dtype=forms.dtype)
+    queries[:, -1] = 1.0
     if n <= step:
-        scores = X @ bank.weights.T
-        scores += bank.biases
-        return bank.labels[scores.argmax(axis=1)]
+        queries[:, :-1] = X
+        return bank.labels[(queries @ forms).argmax(axis=1)]
+    scores = np.empty((step, G), dtype=forms.dtype)
     best = np.empty(n, dtype=np.intp)
     for start in range(0, n, step):
-        scores = X[start : start + step] @ bank.weights.T
-        scores += bank.biases
-        scores.argmax(axis=1, out=best[start : start + step])
+        stop = min(start + step, n)
+        q, s = queries[: stop - start], scores[: stop - start]
+        q[:, :-1] = X[start:stop]
+        np.matmul(q, forms, out=s)
+        s.argmax(axis=1, out=best[start:stop])
     return bank.labels[best]
 
 

@@ -159,6 +159,13 @@ class TestRunBenchmark:
         assert report.config["datasets"] == ["tiny"]
         assert report.config["k"] == 2
 
+    def test_environment_recorded(self):
+        env = run_benchmark([tiny_entry()], ["superklust"], quick_config()).config["env"]
+        assert set(env) == {"threads", "numpy", "cpu_count"}
+        assert env["threads"] is None or (isinstance(env["threads"], int) and env["threads"] >= 1)
+        assert env["numpy"] == np.__version__
+        assert env["cpu_count"] is None or isinstance(env["cpu_count"], int)
+
     def test_rerun_reproduces_accuracies(self):
         first = run_benchmark([tiny_entry()], ["superklust", "knn"], quick_config())
         second = run_benchmark([tiny_entry()], ["superklust", "knn"], quick_config())

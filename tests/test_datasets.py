@@ -366,6 +366,15 @@ class TestLoadSvmlight:
         with pytest.raises(ValueError, match=r"line 2"):
             load_svmlight(p, n_features=3)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+    def test_non_finite_value_reports_line(self, tmp_path, value):
+        p = tmp_path / "data.svm"
+        p.write_text(f"1 1:0.5\n2 1:{value}\n")
+        with pytest.raises(
+            ValueError, match=f"^data.svm line 2: non-finite value in token '1:{value}'$"
+        ):
+            load_svmlight(p, n_features=3)
+
     def test_index_out_of_range(self, tmp_path):
         p = tmp_path / "data.svm"
         p.write_text("1 4:1.0\n")

@@ -154,6 +154,26 @@ class TestSmallBlocks:
         X = rng.normal(0.0, 3.0, size=(300, 4))
         np.testing.assert_array_equal(predict(to_discriminants(model), X), predict_oracle(model, X))
 
+    def test_predict_batch_edges(self):
+        # 0 rows, exactly one block, one row past it, and many blocks
+        rng = np.random.default_rng(15)
+        model = random_labeled_model(rng, d=3, n_gen=20)
+        bank = to_discriminants(model)
+        step = _nearest.block_rows(len(model.generators))
+        for n in (0, 1, step, step + 1, 7 * step + 3):
+            X = rng.normal(0.0, 3.0, size=(n, 3))
+            got = predict(bank, X)
+            assert got.dtype == np.int64 and got.shape == (n,)
+            np.testing.assert_array_equal(got, predict_oracle(model, X))
+
+    def test_predict_query_layouts(self):
+        rng = np.random.default_rng(16)
+        model = random_labeled_model(rng, d=3, n_gen=20)
+        bank = to_discriminants(model)
+        X = rng.normal(0.0, 3.0, size=(101, 3))
+        for Q in (np.asfortranarray(X), X[::2], X[:, ::-1], rng.integers(-4, 5, size=(57, 3))):
+            np.testing.assert_array_equal(predict(bank, Q), predict_oracle(model, Q))
+
 
 class TestKnnTies:
     def test_equal_distances_keep_training_order(self):

@@ -143,6 +143,19 @@ class TestDiscriminants:
         np.testing.assert_array_equal(bank.labels, model.labels)
         assert bank.weights.shape == (len(model.generators), 4)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_copy_of_the_forms(self, dtype):
+        rng = np.random.default_rng(1)
+        model = random_labeled_model(rng, d=4)
+        bank = to_discriminants(model, dtype=dtype)
+        G = len(model.generators)
+        # weights and biases are views into the G * (d + 1) floats of forms
+        assert bank.forms.shape == (5, G) and bank.forms.dtype == dtype
+        assert bank.forms.flags.owndata
+        assert np.shares_memory(bank.weights, bank.forms)
+        assert np.shares_memory(bank.biases, bank.forms)
+        assert bank.weights.shape == (G, 4) and bank.biases.shape == (G,)
+
 
 class TestPredict:
     def test_nearer_generator_wins(self):
@@ -202,6 +215,14 @@ class TestPredict:
         with pytest.raises(ValueError, match="row 2"):
             predict(bank, X)
 
+    def test_first_non_finite_row_named(self):
+        bank = to_discriminants(two_sided_model())
+        X = np.zeros((8, 2))
+        X[3, 0] = np.inf
+        X[5, 1] = np.nan
+        with pytest.raises(ValueError, match="^non-finite feature in query row 3$"):
+            predict(bank, X)
+
     def test_float32_bank(self):
         train = make_gaussian_blobs(
             50, centers=[[0.0, 0.0], [40.0, 40.0], [-40.0, 40.0]], sigma=1.0, seed=4
@@ -213,6 +234,18 @@ class TestPredict:
         bank64 = to_discriminants(model)
         queries = np.random.default_rng(5).normal(0.0, 30.0, (500, 2))
         np.testing.assert_array_equal(predict(bank32, queries), predict(bank64, queries))
+
+    def test_float32_bank_matches_separate_bias_pass(self):
+        # the same data as test_float32_bank; the reference scores with a
+        # GEMM of the weights, then adds the biases in a second pass
+        train = make_gaussian_blobs(
+            50, centers=[[0.0, 0.0], [40.0, 40.0], [-40.0, 40.0]], sigma=1.0, seed=4
+        )
+        bank32 = to_discriminants(fit(train, KMeansConfig(k=2, seed=0)), dtype=np.float32)
+        queries = np.random.default_rng(5).normal(0.0, 30.0, (500, 2))
+        scores = queries.astype(np.float32) @ bank32.weights.T
+        scores += bank32.biases
+        np.testing.assert_array_equal(predict(bank32, queries), bank32.labels[scores.argmax(axis=1)])
 
 
 class TestCorrect:
