@@ -219,12 +219,23 @@ def _apply_scaler(scaler_path: str, X):
     return (X - params.mean) / params.scale
 
 
+def _csv_cell(token: str) -> str:
+    """token as one CSV cell, quoted when it holds a delimiter, a quote or a line break."""
+    if any(c in token for c in ',"\r\n'):
+        return '"' + token.replace('"', '""') + '"'
+    return token
+
+
 def cmd_predict(args) -> int:
     model = tessellation.load_model(Path(args.model).read_bytes())
+    names = model.label_names or tuple(map(str, range(model.n_classes)))
     truth = None
     if args.label_col is not None:
         ds = datasets.load_csv(
-            args.data, label_column=_parse_label_col(args.label_col), has_header=args.has_header
+            args.data,
+            label_column=_parse_label_col(args.label_col),
+            has_header=args.has_header,
+            label_map={tok: i for i, tok in enumerate(names)},
         )
         X, truth = ds.X, ds.y
     else:
@@ -233,7 +244,8 @@ def cmd_predict(args) -> int:
         X = _apply_scaler(args.scaler, X)
     bank = tessellation.to_discriminants(model)
     labels = tessellation.predict(bank, X)
-    _write_out(args.out, "label\n" + "".join(f"{lab}\n" for lab in labels.tolist()))
+    cells = [_csv_cell(name) + "\n" for name in names]
+    _write_out(args.out, "label\n" + "".join(cells[lab] for lab in labels.tolist()))
     if truth is not None:
         print(f"accuracy: {float((labels == truth).mean()):.4f}")
     return 0

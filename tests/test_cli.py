@@ -5,7 +5,16 @@ import sys
 import numpy as np
 import pytest
 
-from superklust import evaluate, load_csv, load_model
+from superklust import (
+    KMeansConfig,
+    evaluate,
+    fit,
+    load_csv,
+    load_model,
+    make_gaussian_blobs,
+    save_model,
+    write_dataset_csv,
+)
 
 
 def run_cli(*argv, cwd=None, env=None):
@@ -103,6 +112,17 @@ class TestFit:
             "error: train.csv line 3, column 1: non-finite value 'nan'"
         ]
 
+    def test_integer_labels_write_the_library_bytes(self, tmp_path):
+        ds = make_gaussian_blobs(40, [[0.0, 0.0], [3.0, 3.0], [0.0, 4.0]], 0.8, seed=2)
+        data = tmp_path / "train.csv"
+        write_dataset_csv(data, ds, header=False)
+        model_path = tmp_path / "model.json"
+        proc = run_cli(
+            "fit", "--data", str(data), "--k", "3", "--seed", "5", "--out", str(model_path)
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert model_path.read_bytes() == save_model(fit(ds, KMeansConfig(k=3, seed=5)))
+
     def test_bad_k_exits_2(self, tmp_path):
         data = synth(tmp_path, "moons", "--n", "20")
         proc = run_cli(
@@ -162,6 +182,34 @@ class TestPredict:
         assert len(lines) == ds.n + 1
         preds = np.array([int(v) for v in lines[1:]])
         assert ((preds == 0) | (preds == 1)).all()
+
+    def named_labels(self, tmp_path, test_rows):
+        train = tmp_path / "train.csv"
+        train.write_text("0,0,a\n0.1,0,a\n5,5,b\n5.1,5,b\n10,0,c\n10.1,0,c\n")
+        model_path = tmp_path / "model.json"
+        proc = run_cli("fit", "--data", str(train), "--k", "1", "--out", str(model_path))
+        assert proc.returncode == 0, proc.stderr
+        test = tmp_path / "test.csv"
+        test.write_text(test_rows)
+        out = tmp_path / "preds.csv"
+        proc = run_cli(
+            "predict", "--model", str(model_path), "--data", str(test),
+            "--label-col", "-1", "--out", str(out),
+        )
+        return proc, out
+
+    def test_test_labels_map_through_the_model(self, tmp_path):
+        # the test file holds two of the three training labels
+        proc, out = self.named_labels(tmp_path, "5,5.1,b\n10,0.2,c\n")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["accuracy: 1.0000"]
+        assert out.read_text() == "label\nb\nc\n"
+
+    def test_unknown_test_label_exits_1(self, tmp_path):
+        proc, out = self.named_labels(tmp_path, "5,5.1,b\n10,0.2,z\n")
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == ["error: test.csv: unknown label 'z'"]
+        assert not out.exists()
 
     def test_features_only_input(self, tmp_path):
         data, model_path = self.fitted(tmp_path)

@@ -155,16 +155,19 @@ class TestSmallBlocks:
         np.testing.assert_array_equal(predict(to_discriminants(model), X), predict_oracle(model, X))
 
     def test_predict_batch_edges(self):
-        # 0 rows, exactly one block, one row past it, and many blocks
+        # 0 rows, exactly one block, one row past it, and many blocks, for
+        # a bank wider in G and one wider in d + 1: a block holds
+        # max(G, d + 1) entries per row
         rng = np.random.default_rng(15)
-        model = random_labeled_model(rng, d=3, n_gen=20)
-        bank = to_discriminants(model)
-        step = _nearest.block_rows(len(model.generators))
-        for n in (0, 1, step, step + 1, 7 * step + 3):
-            X = rng.normal(0.0, 3.0, size=(n, 3))
-            got = predict(bank, X)
-            assert got.dtype == np.int64 and got.shape == (n,)
-            np.testing.assert_array_equal(got, predict_oracle(model, X))
+        for d, n_gen in ((3, 20), (30, 5)):
+            model = random_labeled_model(rng, d=d, n_gen=n_gen)
+            bank = to_discriminants(model)
+            step = _nearest.block_rows(max(n_gen, d + 1))
+            for n in (0, 1, step, step + 1, 7 * step + 3):
+                X = rng.normal(0.0, 3.0, size=(n, d))
+                got = predict(bank, X)
+                assert got.dtype == np.int64 and got.shape == (n,)
+                np.testing.assert_array_equal(got, predict_oracle(model, X))
 
     def test_predict_query_layouts(self):
         rng = np.random.default_rng(16)

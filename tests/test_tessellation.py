@@ -1,4 +1,6 @@
+import base64
 import json
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -463,6 +465,15 @@ class TestFit:
         config = KMeansConfig(k=5, seed=3, n_restarts=3)
         assert fit(train, config) == fit(train, config)
 
+    def test_keeps_label_names(self):
+        train = make_moons(100, noise=0.2, seed=14)
+        config = KMeansConfig(k=2, seed=3)
+        unnamed = fit(train, config)
+        train.label_names = ("upper", "lower")
+        named = fit(train, config)
+        assert named.label_names == ("upper", "lower") and unnamed.label_names is None
+        assert named.generators == unnamed.generators
+
 
 class TestEvaluate:
     def test_all_correct(self):
@@ -524,11 +535,19 @@ class TestSerialization:
             generators=[Generator(point=point, label=0, source_class=0)], n_classes=1, d=5, k=1
         )
         assert save_model(model) == (
+            b'{"version":2,"d":5,"n_classes":1,"k":1,"correction_iterations":0,"labels":[0],'
+            b'"source_classes":[0],"points":"AAAAAAAAAIABAAAAAAAAAP///////+9/mpmZmZmZuT80MzMzMzPTPw=="}\n'
+        )
+        loaded = load_model(save_model(model))
+        assert loaded == model
+        assert loaded.points.tobytes() == model.points.tobytes()  # -0.0 included
+        v1 = (
             b'{"version":1,"d":5,"n_classes":1,"k":1,"correction_iterations":0,"generators":'
             b'[{"point":[-0.0,5e-324,1.7976931348623157e+308,0.1,0.30000000000000004],'
             b'"label":0,"source_class":0}]}\n'
         )
-        assert load_model(save_model(model)) == model
+        assert load_model(v1) == model
+        assert load_model(v1).points.tobytes() == model.points.tobytes()
 
     def test_round_trip_from_str(self):
         model = self.fitted_model()
@@ -537,11 +556,15 @@ class TestSerialization:
     def test_document_shape(self):
         model = self.fitted_model()
         doc = json.loads(save_model(model))
-        assert doc["version"] == 1
+        assert list(doc) == [
+            "version", "d", "n_classes", "k", "correction_iterations",
+            "labels", "source_classes", "points",
+        ]
+        assert doc["version"] == 2
         assert doc["d"] == 2 and doc["n_classes"] == 2 and doc["k"] == 4
-        assert len(doc["generators"]) == len(model.generators)
-        first = doc["generators"][0]
-        assert set(first) == {"point", "label", "source_class"}
+        assert doc["labels"] == [g.label for g in model.generators]
+        assert doc["source_classes"] == [g.source_class for g in model.generators]
+        assert base64.b64decode(doc["points"]) == model.points.astype("<f8").tobytes()
 
     def test_minimal_document_accepted(self):
         doc = {
@@ -575,8 +598,75 @@ class TestSerialization:
             load_model(text)
         assert info.value.code == "malformed"
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"points": "AAAAAAAAAA!="},
+            {"points": "AAAAAAAAAA\u00e9="},
+            {"points": "AAAAAAAA"},
+            {"points": ["AAAAAAAAAAA="]},
+            {"points": None},
+            {"labels": [True]},
+            {"labels": [1.5]},
+            {"labels": [1]},
+            {"labels": [-1]},
+            {"labels": []},
+            {"source_classes": [2]},
+            {"labels": [0, 0], "points": "AAAAAAAAAAAAAAAAAAAAAA=="},
+            {"k": 1, "labels": [0, 0], "source_classes": [0, 0], "points": "AAAAAAAAAAAAAAAAAAAAAA=="},
+            {"label_names": "a"},
+            {"label_names": ["a", "b"]},
+            {"n_classes": 2, "label_names": ["a", "a"]},
+            {"n_classes": 2, "label_names": ["a", 1]},
+        ],
+        ids=[
+            "non-base64", "non-ascii", "truncated", "points-array", "points-missing",
+            "label-true", "label-float", "label-range", "label-negative", "no-labels",
+            "source-range", "lengths-differ", "over-budget", "names-string", "names-count",
+            "names-repeated", "names-number",
+        ],
+    )
+    def test_malformed_v2_documents(self, change):
+        # a None value in change removes the key
+        doc = {
+            "version": 2, "d": 1, "n_classes": 1, "k": 2, "correction_iterations": 0,
+            "labels": [0], "source_classes": [0], "points": "AAAAAAAAAAA=",
+        }
+        load_model(json.dumps(doc))
+        doc = {key: v for key, v in {**doc, **change}.items() if v is not None}
+        with pytest.raises(MalformedModelError) as info:
+            load_model(json.dumps(doc))
+        assert info.value.code == "malformed"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_v2_non_finite_error(self, bad):
+        points = base64.b64encode(np.array([[0.0], [bad]]).astype("<f8").tobytes()).decode()
+        text = (
+            '{"version":2,"d":1,"n_classes":1,"k":2,"labels":[0,0],"source_classes":[0,0],'
+            f'"points":"{points}"}}'
+        )
+        with pytest.raises(NonFiniteModelError, match="generator 1") as info:
+            load_model(text)
+        assert info.value.code == "non-finite"
+
+    def test_label_names_round_trip(self):
+        model = self.fitted_model()
+        named = replace(model, label_names=["b", 'a,"x'])
+        assert named.label_names == ("b", 'a,"x')
+        blob = save_model(named)
+        assert list(json.loads(blob))[-2:] == ["label_names", "points"]
+        loaded = load_model(blob)
+        assert loaded == named and loaded.label_names == ("b", 'a,"x')
+        assert loaded != model and save_model(loaded) == blob
+
+    def test_id_names_stored_as_none(self):
+        model = self.fitted_model()
+        named = replace(model, label_names=("0", "1"))
+        assert named.label_names is None and named == model
+        assert save_model(named) == save_model(model)
+
     def test_version_error(self):
-        text = '{"version":2,"d":1,"n_classes":1,"k":1,"generators":[{"point":[0.0],"label":0}]}'
+        text = '{"version":3,"d":1,"n_classes":1,"k":1,"generators":[{"point":[0.0],"label":0}]}'
         with pytest.raises(ModelVersionError) as info:
             load_model(text)
         assert info.value.code == "version"
