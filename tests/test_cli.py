@@ -205,6 +205,19 @@ class TestPredict:
         assert proc.stdout.splitlines() == ["accuracy: 1.0000"]
         assert out.read_text() == "label\nb\nc\n"
 
+    def test_tokens_are_quoted_as_csv_cells(self, tmp_path):
+        train = tmp_path / "train.csv"
+        train.write_text('0,0,"x,y"\n0.1,0,"x,y"\n5,5,"say ""hi"""\n5.1,5,"say ""hi"""\n')
+        model_path = tmp_path / "model.json"
+        proc = run_cli("fit", "--data", str(train), "--k", "1", "--out", str(model_path))
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli("predict", "--model", str(model_path), "--data", str(train),
+                       "--label-col", "-1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "label", '"x,y"', '"x,y"', '"say ""hi"""', '"say ""hi"""', "accuracy: 1.0000"
+        ]
+
     def test_unknown_test_label_exits_1(self, tmp_path):
         proc, out = self.named_labels(tmp_path, "5,5.1,b\n10,0.2,z\n")
         assert proc.returncode == 1
