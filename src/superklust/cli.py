@@ -9,9 +9,9 @@ so fit, predict, grid and synth never load them.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,8 +80,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--correction-passes", type=int, default=100)
-    p.add_argument("--standardize", action="store_true", help="train-fit standardization")
-    p.add_argument("--scaler-out", default=None, help="scaler sidecar path (with --standardize)")
+    p.add_argument(
+        "--standardize", action="store_true", help="train-fit standardization, kept in the model"
+    )
     p.add_argument("--out", required=True, help="model JSON path")
     p.set_defaults(handler=cmd_fit)
 
@@ -94,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="optional truth column (index or name); enables accuracy output",
     )
     p.add_argument("--has-header", action="store_true")
-    p.add_argument("--scaler", default=None, help="scaler sidecar from fit --standardize")
     p.add_argument("--out", default="-", help="output CSV path ('-' = stdout)")
     p.set_defaults(handler=cmd_predict)
 
@@ -181,8 +181,7 @@ def cmd_fit(args) -> int:
         args.data, label_column=_parse_label_col(args.label_col), has_header=args.has_header
     )
     scaler = datasets.standardize_fit(ds) if args.standardize else None
-    if scaler is not None:
-        ds = datasets.standardize_apply(scaler, ds)
+    train = ds if scaler is None else datasets.standardize_apply(scaler, ds)
     config = KMeansConfig(
         k=args.k,
         max_iter=args.max_iter,
@@ -190,33 +189,15 @@ def cmd_fit(args) -> int:
         n_restarts=args.restarts,
         seed=args.seed,
     )
-    model = tessellation.fit(ds, config, max_correction_passes=args.correction_passes)
+    model = replace(
+        tessellation.fit(train, config, max_correction_passes=args.correction_passes),
+        scaler=scaler,
+    )
     Path(args.out).write_bytes(tessellation.save_model(model))
-    if scaler is not None:
-        scaler_path = args.scaler_out or f"{args.out}.scaler.json"
-        Path(scaler_path).write_text(
-            json.dumps({"mean": list(scaler.mean), "scale": list(scaler.scale)}) + "\n"
-        )
-        print(f"scaler: {scaler_path}")
-    accuracy = tessellation.evaluate(model, ds)
-    print(f"generators: {len(model.generators)}")
+    accuracy = tessellation.evaluate(model, ds)  # the model scales the raw rows itself
+    print(f"generators: {len(model.labels)}")
     print(f"training accuracy: {accuracy:.4f}")
     return 0
-
-
-def _apply_scaler(scaler_path: str, X):
-    doc = json.loads(Path(scaler_path).read_text())
-    try:
-        params = datasets.ScalerParams(mean=doc["mean"], scale=doc["scale"])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"scaler {scaler_path} needs numeric 'mean' and 'scale' lists") from exc
-    d = X.shape[1]
-    if params.mean.shape != (d,) or params.scale.shape != (d,):
-        raise ValueError(
-            f"scaler {scaler_path} has {params.mean.size} means and {params.scale.size} "
-            f"scales for {d} features"
-        )
-    return (X - params.mean) / params.scale
 
 
 def _csv_cell(token: str) -> str:
@@ -226,9 +207,14 @@ def _csv_cell(token: str) -> str:
     return token
 
 
+def _label_names(model) -> tuple[str, ...]:
+    """The label token of each class id of model."""
+    return model.label_names or tuple(map(str, range(model.n_classes)))
+
+
 def cmd_predict(args) -> int:
     model = tessellation.load_model(Path(args.model).read_bytes())
-    names = model.label_names or tuple(map(str, range(model.n_classes)))
+    names = _label_names(model)
     truth = None
     if args.label_col is not None:
         ds = datasets.load_csv(
@@ -240,8 +226,6 @@ def cmd_predict(args) -> int:
         X, truth = ds.X, ds.y
     else:
         X = datasets.load_csv_features(args.data, has_header=args.has_header)
-    if args.scaler is not None:
-        X = _apply_scaler(args.scaler, X)
     bank = tessellation.to_discriminants(model)
     labels = tessellation.predict(bank, X)
     cells = [_csv_cell(name) + "\n" for name in names]
@@ -263,7 +247,10 @@ def cmd_grid(args) -> int:
     xy, labels = datasets.decision_grid(
         bank, (args.x_min, args.x_max), (args.y_min, args.y_max), args.resolution
     )
-    datasets.write_grid_csv(sys.stdout if args.out == "-" else args.out, xy, labels)
+    cells = [_csv_cell(name) for name in _label_names(model)]
+    datasets.write_grid_csv(
+        sys.stdout if args.out == "-" else args.out, xy, [cells[lab] for lab in labels.tolist()]
+    )
     return 0
 
 

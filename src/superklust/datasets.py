@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tessellation import DiscriminantBank, predict
+from .tessellation import DiscriminantBank, ScalerParams, predict
 
 __all__ = [
     "Dataset",
@@ -68,20 +68,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-
-@dataclass
-class ScalerParams:
-    """Per-feature affine transform: x -> (x - mean) / scale."""
-
-    mean: np.ndarray
-    scale: np.ndarray
-
-    def __post_init__(self):
-        self.mean = np.asarray(self.mean, dtype=np.float64)
-        self.scale = np.asarray(self.scale, dtype=np.float64)
-        if (self.scale <= 0).any():
-            raise ValueError("scale entries must be strictly positive")
 
 
 def make_moons(n: int, noise: float, seed: int) -> Dataset:
@@ -365,12 +351,14 @@ def _text_out(out):
     return open(out, "w", newline="") if isinstance(out, (str, Path)) else nullcontext(out)
 
 
-def write_grid_csv(out, xy: np.ndarray, labels: np.ndarray) -> None:
-    """Write grid rows as CSV with header "x,y,label"."""
+def write_grid_csv(out, xy: np.ndarray, labels) -> None:
+    """Write grid rows as CSV with header "x,y,label". Each label is
+    written as given: a class id, or a label token already formatted as
+    a CSV cell."""
     with _text_out(out) as fh:
         fh.write("x,y,label\n")
         for (x, y), lab in zip(xy, labels):
-            fh.write(f"{float(x)!r},{float(y)!r},{int(lab)}\n")
+            fh.write(f"{float(x)!r},{float(y)!r},{lab}\n")
 
 
 def write_dataset_csv(out, ds: Dataset, header: bool = True) -> None:

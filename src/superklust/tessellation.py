@@ -1,8 +1,8 @@
 """Labeled Voronoi tessellation classifier.
 
-A model is an ordered list of labeled generator points (per-class
-cluster means). Classification assigns a query to the label of its
-nearest generator. Because
+A model is a (G, d) matrix of generator points (per-class cluster
+means) with one label per row. Classification assigns a query to the
+label of its nearest generator. Because
 
     ||x - g||^2 = ||x||^2 - (2 g . x - ||g||^2)
 
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import base64
 import json
-import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,6 +34,7 @@ if TYPE_CHECKING:
 __all__ = [
     "Generator",
     "Model",
+    "ScalerParams",
     "DiscriminantBank",
     "ModelFormatError",
     "MalformedModelError",
@@ -70,64 +70,100 @@ class NonFiniteModelError(ModelFormatError):
     code = "non-finite"
 
 
+class _ArrayEq:
+    """Dataclass equality that compares array fields with np.array_equal."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
 @dataclass(eq=False)
+class ScalerParams(_ArrayEq):
+    """Per-feature affine transform: x -> (x - mean) / scale."""
+
+    mean: np.ndarray
+    scale: np.ndarray
+
+    def __post_init__(self):
+        self.mean = np.asarray(self.mean, dtype=np.float64)
+        self.scale = np.asarray(self.scale, dtype=np.float64)
+        if self.mean.ndim != 1 or self.mean.shape != self.scale.shape:
+            raise ValueError("mean and scale must be vectors of one length")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.scale).all()):
+            raise ValueError("non-finite entry in scaler")
+        if (self.scale <= 0).any():
+            raise ValueError("scale entries must be strictly positive")
+
+
+@dataclass(frozen=True, eq=False)
 class Generator:
-    """One Voronoi site: a point, its class label, and the class it was
-    clustered from (labels can change during correction, source_class
-    does not)."""
+    """Read-only view of one generator of a Model: its point (a row of
+    Model.points), its class label, and the class it was clustered from
+    (labels can change during correction, source_class does not)."""
 
     point: np.ndarray
     label: int
     source_class: int
 
-    def __post_init__(self):
-        self.point = np.asarray(self.point, dtype=np.float64)
-        if self.point.ndim != 1:
-            raise ValueError("generator point must be a 1-D vector")
-        if not np.isfinite(self.point).all():
-            raise ValueError("non-finite feature in generator point")
-
-    def __eq__(self, other):
-        if not isinstance(other, Generator):
-            return NotImplemented
-        return (
-            self.label == other.label
-            and self.source_class == other.source_class
-            and np.array_equal(self.point, other.point)
-        )
-
 
 @dataclass(eq=False)
-class Model:
-    """Ordered labeled generators plus the fit-time configuration facts
-    needed to interpret them (dimension, class count, shared k).
+class Model(_ArrayEq):
+    """A labeled Voronoi tessellation and the fit-time facts needed to
+    interpret it: points, the (G, d) float64 generator matrix in model
+    order, and labels and source_classes, (G,) int64 ids in [0,
+    n_classes), all read-only copies; k bounds G by k * n_classes.
 
     label_names, when present, holds the label token of each class id
     (position = id) in the data the model was fitted on; None means the
     ids are the names, and names that are exactly "0", "1", ... are
     stored as None.
+
+    scaler, when present, maps raw feature rows to the coordinates of
+    points: predict (through the bank), evaluate, predict_oracle and
+    correct take raw rows and apply (x - mean) / scale themselves.
     """
 
-    generators: list[Generator]
+    points: np.ndarray
+    labels: np.ndarray
+    source_classes: np.ndarray
     n_classes: int
-    d: int
     k: int
     correction_iterations: int = 0
     label_names: tuple[str, ...] | None = None
+    scaler: ScalerParams | None = None
 
     def __post_init__(self):
-        if not self.generators:
-            raise ValueError("model must contain at least one generator")
-        if len(self.generators) > self.k * self.n_classes:
+        points = np.array(self.points, dtype=np.float64)
+        if points.ndim != 2 or points.size == 0:
+            raise ValueError(f"points must be a nonempty (G, d) matrix, not shape {points.shape}")
+        G = points.shape[0]
+        if G > self.k * self.n_classes:
             raise ValueError(
-                f"{len(self.generators)} generators exceed the budget "
-                f"k * n_classes = {self.k * self.n_classes}"
+                f"{G} generators exceed the budget k * n_classes = {self.k * self.n_classes}"
             )
-        for g in self.generators:
-            if g.point.shape[0] != self.d:
-                raise ValueError("generator dimension does not match model d")
-            if not 0 <= g.label < self.n_classes:
-                raise ValueError(f"generator label {g.label} outside [0, {self.n_classes})")
+        finite = np.isfinite(points).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"non-finite feature in generator {int(finite.argmin())}")
+        points.flags.writeable = False
+        self.points = points
+        for name in ("labels", "source_classes"):
+            ids = np.array(getattr(self, name))
+            if ids.shape != (G,) or ids.dtype.kind not in "iu":
+                raise ValueError(f"{name} must hold {G} integer class ids")
+            outside = (ids < 0) | (ids >= self.n_classes)
+            if outside.any():
+                raise ValueError(f"{name} entry {ids[outside][0]} outside [0, {self.n_classes})")
+            ids = ids.astype(np.int64, copy=False)
+            ids.flags.writeable = False
+            setattr(self, name, ids)
+        if self.scaler is not None and self.scaler.mean.shape != (self.d,):
+            raise ValueError(
+                f"dimension mismatch: scaler has {self.scaler.mean.size} features, "
+                f"model has {self.d}"
+            )
         if self.label_names is not None:
             names = tuple(self.label_names)
             if (
@@ -139,25 +175,14 @@ class Model:
             self.label_names = None if names == tuple(map(str, range(self.n_classes))) else names
 
     @property
-    def points(self) -> np.ndarray:
-        """Generator coordinates as a (G, d) matrix in model order."""
-        return np.stack([g.point for g in self.generators])
+    def d(self) -> int:
+        return self.points.shape[1]
 
     @property
-    def labels(self) -> np.ndarray:
-        return np.array([g.label for g in self.generators], dtype=np.int64)
-
-    def __eq__(self, other):
-        if not isinstance(other, Model):
-            return NotImplemented
-        return (
-            self.n_classes == other.n_classes
-            and self.d == other.d
-            and self.k == other.k
-            and self.correction_iterations == other.correction_iterations
-            and self.label_names == other.label_names
-            and self.generators == other.generators
-        )
+    def generators(self) -> list[Generator]:
+        """One read-only Generator view per row, in model order."""
+        rows = zip(self.points, self.labels.tolist(), self.source_classes.tolist())
+        return [Generator(*row) for row in rows]
 
 
 @dataclass(eq=False)
@@ -167,11 +192,13 @@ class DiscriminantBank:
 
     forms is the (d+1, G) matrix whose column j is generator j's form
     [w_j; b_j]; weights and biases are views of it, not copies. labels
-    holds each generator's class in model order.
+    holds each generator's class in model order. scaler is the model's
+    (see Model): predict applies it to each query block.
     """
 
     forms: np.ndarray
     labels: np.ndarray
+    scaler: ScalerParams | None = None
 
     @property
     def weights(self) -> np.ndarray:
@@ -194,44 +221,34 @@ def assemble(per_class_centers: list[np.ndarray], k: int | None = None) -> Model
     """
     if not per_class_centers:
         raise ValueError("per_class_centers must not be empty")
-    mats = []
-    d = None
+    blocks = []  # (class, centers) of the classes with centers
     for c, centers in enumerate(per_class_centers):
         arr = np.asarray(centers, dtype=np.float64)
         if arr.size == 0:
-            mats.append(None)
             continue
         if arr.ndim != 2:
             raise ValueError(f"class {c}: centers must be a 2-D matrix")
-        if d is None:
-            d = arr.shape[1]
-        elif arr.shape[1] != d:
+        if blocks and arr.shape[1] != blocks[0][1].shape[1]:
             raise ValueError(
-                f"dimension mismatch: class {c} has {arr.shape[1]} features, expected {d}"
+                f"dimension mismatch: class {c} has {arr.shape[1]} features, "
+                f"expected {blocks[0][1].shape[1]}"
             )
-        mats.append(arr)
-
-    generators = [
-        Generator(point=row.copy(), label=c, source_class=c)
-        for c, arr in enumerate(mats)
-        if arr is not None
-        for row in arr
-    ]
-    if not generators:
+        blocks.append((c, arr))
+    if not blocks:
         raise ValueError("zero total generators")
-    if k is None:
-        k = max(arr.shape[0] for arr in mats if arr is not None)
+    labels = np.concatenate([np.full(arr.shape[0], c) for c, arr in blocks])
     return Model(
-        generators=generators,
+        points=np.concatenate([arr for _, arr in blocks]),
+        labels=labels,
+        source_classes=labels,
         n_classes=len(per_class_centers),
-        d=d,
-        k=k,
-        correction_iterations=0,
+        k=max(arr.shape[0] for _, arr in blocks) if k is None else k,
     )
 
 
 def to_discriminants(model: Model, dtype=np.float64) -> DiscriminantBank:
-    """Precompute the linear forms for a model.
+    """Precompute the linear forms for a model; the bank keeps the
+    model's labels and scaler.
 
     dtype=np.float32 gives a faster bank for inference; predictions then
     come from 32-bit arithmetic and can differ from the 64-bit bank only
@@ -241,7 +258,7 @@ def to_discriminants(model: Model, dtype=np.float64) -> DiscriminantBank:
     forms = np.empty((model.d + 1, points.shape[0]), dtype=dtype)
     forms[:-1] = (2.0 * points).T
     forms[-1] = -(points * points).sum(axis=1)
-    return DiscriminantBank(forms=forms, labels=model.labels)
+    return DiscriminantBank(forms=forms, labels=model.labels, scaler=model.scaler)
 
 
 def _check_queries(X, d: int) -> np.ndarray:
@@ -256,17 +273,25 @@ def _check_queries(X, d: int) -> np.ndarray:
     return X
 
 
+def _scaled(model: Model, X: np.ndarray) -> np.ndarray:
+    """Raw rows X in the coordinates of model.points."""
+    scaler = model.scaler
+    return X if scaler is None else (X - scaler.mean) / scaler.scale
+
+
 def predict(bank: DiscriminantBank, X) -> np.ndarray:
-    """Classify each row of X: label of the argmax discriminant, ties to
-    the lowest generator index.
+    """Classify each raw row of X: label of the argmax discriminant, ties
+    to the lowest generator index.
 
     Rows are copied, in blocks, into a query matrix [x, 1] that one GEMM
     per block scores against bank.forms, biases included; a row-wise
-    argmax follows. No distance loop. A call holds one block of scores
-    and its (rows, d+1) query block, both reused by every block and each
-    of at most _nearest.BLOCK_ENTRIES entries.
+    argmax follows. No distance loop. A bank with a scaler subtracts its
+    mean from, and divides by its scale, each copied block in place:
+    the same float64 operations as (X - mean) / scale. A call holds one
+    block of scores and its (rows, d+1) query block, both reused by
+    every block and each of at most _nearest.BLOCK_ENTRIES entries.
     """
-    forms = bank.forms
+    forms, scaler = bank.forms, bank.scaler
     d1, G = forms.shape
     X = _check_queries(X, d1 - 1)
     n, step = X.shape[0], block_rows(max(G, d1))
@@ -274,6 +299,9 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     queries[:, -1] = 1.0
     if n <= step:
         queries[:, :-1] = X
+        if scaler is not None:
+            queries[:, :-1] -= scaler.mean
+            queries[:, :-1] /= scaler.scale
         return bank.labels[(queries @ forms).argmax(axis=1)]
     scores = np.empty((step, G), dtype=forms.dtype)
     best = np.empty(n, dtype=np.intp)
@@ -281,6 +309,9 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
         stop = min(start + step, n)
         q, s = queries[: stop - start], scores[: stop - start]
         q[:, :-1] = X[start:stop]
+        if scaler is not None:
+            q[:, :-1] -= scaler.mean
+            q[:, :-1] /= scaler.scale
         np.matmul(q, forms, out=s)
         s.argmax(axis=1, out=best[start:stop])
     return bank.labels[best]
@@ -290,9 +321,8 @@ def predict_oracle(model: Model, X) -> np.ndarray:
     """Reference classifier: per query, explicitly minimize the squared
     distance over generators with the same tie rule. Exists to validate
     predict() through an independent code path."""
-    X = _check_queries(X, model.d)
-    points = model.points
-    labels = model.labels
+    X = _scaled(model, _check_queries(X, model.d))
+    points, labels = model.points, model.labels
     out = np.empty(X.shape[0], dtype=np.int64)
     for i, x in enumerate(X):
         d2 = ((points - x) ** 2).sum(axis=1)
@@ -312,7 +342,8 @@ def correct(model: Model, train: "Dataset", max_passes: int = 100) -> Model:
     max_passes. Training accuracy never decreases: majority relabeling
     is optimal for the fixed partition, and dropping empty cells leaves
     every training sample's nearest generator in place (order, hence
-    tie-breaking, is preserved).
+    tie-breaking, is preserved). The training rows are raw rows (see
+    Model.scaler); label_names and scaler carry over.
     """
     if train.X.shape[0] == 0:
         raise ValueError("training set must not be empty")
@@ -327,15 +358,14 @@ def correct(model: Model, train: "Dataset", max_passes: int = 100) -> Model:
     if y.min() < 0 or y.max() >= model.n_classes:
         raise ValueError(f"training labels must lie in [0, {model.n_classes})")
 
-    points = model.points
-    labels = model.labels
-    sources = np.array([g.source_class for g in model.generators], dtype=np.int64)
-    x_norms = np.sqrt(sq_norms(train.X))
+    X = _scaled(model, train.X)
+    points, labels, sources = model.points, model.labels, model.source_classes
+    x_norms = np.sqrt(sq_norms(X))
     passes = 0
 
     while passes < max_passes:
         passes += 1
-        assign = nearest(train.X, points, x_norms)
+        assign = nearest(X, points, x_norms)
 
         G, C = points.shape[0], model.n_classes
         counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
@@ -353,20 +383,12 @@ def correct(model: Model, train: "Dataset", max_passes: int = 100) -> Model:
             break
 
     # A nonempty training set keeps at least one generator occupied.
-    if points.shape[0] == 0:
-        raise ValueError("degenerate correction: all generators removed")
-
-    generators = [
-        Generator(point=points[i].copy(), label=int(labels[i]), source_class=int(sources[i]))
-        for i in range(points.shape[0])
-    ]
-    return Model(
-        generators=generators,
-        n_classes=model.n_classes,
-        d=model.d,
-        k=model.k,
+    return replace(
+        model,
+        points=points,
+        labels=labels,
+        source_classes=sources,
         correction_iterations=model.correction_iterations + passes,
-        label_names=model.label_names,
     )
 
 
@@ -377,7 +399,7 @@ def fit(train: "Dataset", config: KMeansConfig, max_correction_passes: int = 100
     clusters with seed config.seed + c * config.n_restarts so that no
     two (class, restart) pairs share a seed; the whole fit is
     deterministic given (train, config). The model keeps
-    train.label_names.
+    train.label_names and has no scaler.
     """
     if train.X.shape[0] == 0:
         raise ValueError("training set must not be empty")
@@ -399,7 +421,8 @@ def fit(train: "Dataset", config: KMeansConfig, max_correction_passes: int = 100
 
 
 def evaluate(model_or_bank, test: "Dataset") -> float:
-    """Fraction of test rows whose predicted label matches the truth."""
+    """Fraction of test rows (raw rows, see Model.scaler) whose predicted
+    label matches the truth."""
     if test.X.shape[0] == 0:
         raise ValueError("empty test set")
     bank = (
@@ -413,19 +436,24 @@ def evaluate(model_or_bank, test: "Dataset") -> float:
 _MODEL_VERSION = 2
 
 
+def _b64_f8(matrix: np.ndarray) -> str:
+    return base64.b64encode(matrix.astype("<f8").tobytes()).decode("ascii")
+
+
 def save_model(model: Model) -> bytes:
     """Serialize a model to its version-2 JSON document (UTF-8 bytes).
 
     The object holds, in this order, version, d, n_classes, k,
     correction_iterations, labels and source_classes (one integer per
-    generator), label_names when the model has them, and points: the
-    (G, d) generator matrix as little-endian float64 bytes in model
-    order, base64-encoded. The bytes are the floats themselves, so
-    load_model(save_model(m)) reproduces m bit-exactly and identical
-    models give identical documents. Decimal text would cost more than
-    the rest of a save or load: at 520 x 617 coordinates, writing
-    shortest round-trip decimals took ~95 % of a save, and parsing them
-    back about half of a load.
+    generator), label_names when the model has them, scaler when the
+    model has one, and points. points is the (G, d) generator matrix as
+    little-endian float64 bytes in model order, base64-encoded; scaler
+    is the (2, d) matrix [mean; scale] encoded the same way. The bytes
+    are the floats themselves, so load_model(save_model(m)) reproduces m
+    bit-exactly and identical models give identical documents. Decimal
+    text would cost more than the rest of a save or load: at 520 x 617
+    coordinates, writing shortest round-trip decimals took ~95 % of a
+    save, and parsing them back about half of a load.
     """
     doc = {
         "version": _MODEL_VERSION,
@@ -433,12 +461,14 @@ def save_model(model: Model) -> bytes:
         "n_classes": model.n_classes,
         "k": model.k,
         "correction_iterations": model.correction_iterations,
-        "labels": [int(g.label) for g in model.generators],
-        "source_classes": [int(g.source_class) for g in model.generators],
+        "labels": model.labels.tolist(),
+        "source_classes": model.source_classes.tolist(),
     }
     if model.label_names is not None:
         doc["label_names"] = list(model.label_names)
-    doc["points"] = base64.b64encode(model.points.astype("<f8").tobytes()).decode("ascii")
+    if model.scaler is not None:
+        doc["scaler"] = _b64_f8(np.stack([model.scaler.mean, model.scaler.scale]))
+    doc["points"] = _b64_f8(model.points)
     return (json.dumps(doc, separators=(",", ":")) + "\n").encode("utf-8")
 
 
@@ -447,12 +477,12 @@ def _require(condition: bool, message: str):
         raise MalformedModelError(f"malformed model document: {message}")
 
 
-def _v1_generators(doc: dict, d: int, n_classes: int) -> list[Generator]:
-    """Generators of a version-1 document: one object per generator,
-    coordinates as JSON numbers, source_class optional."""
+def _v1_arrays(doc: dict, d: int):
+    """(points, labels, source_classes) of a version-1 document: one
+    object per generator, coordinates as JSON numbers, source_class
+    defaulting to the label."""
     gens = doc.get("generators")
     _require(isinstance(gens, list) and len(gens) >= 1, "generators must be a nonempty array")
-    generators = []
     for i, g in enumerate(gens):
         _require(isinstance(g, dict), f"generator {i} must be an object")
         point = g.get("point")
@@ -462,54 +492,24 @@ def _v1_generators(doc: dict, d: int, n_classes: int) -> list[Generator]:
             and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in point),
             f"generator {i}: point must be an array of {d} numbers",
         )
-        if not all(math.isfinite(v) for v in point):
-            raise NonFiniteModelError(f"non-finite value in generator {i}")
-        label = g.get("label")
-        _require(
-            isinstance(label, int) and 0 <= label < n_classes,
-            f"generator {i}: label must be an integer in [0, {n_classes})",
-        )
-        source = g.get("source_class", label)
-        _require(
-            isinstance(source, int) and 0 <= source < n_classes,
-            f"generator {i}: source_class must be an integer in [0, {n_classes})",
-        )
-        generators.append(
-            Generator(point=np.array(point, dtype=np.float64), label=label, source_class=source)
-        )
-    return generators
+    labels = [g.get("label") for g in gens]
+    sources = [g.get("source_class", label) for g, label in zip(gens, labels)]
+    return np.array([g["point"] for g in gens], dtype=np.float64), labels, sources
 
 
-def _v2_generators(doc: dict, d: int, n_classes: int) -> list[Generator]:
-    """Generators of a version-2 document (see save_model), checked with
-    one pass over each G-long list and array operations on the points."""
-    labels, sources = doc.get("labels"), doc.get("source_classes")
-    for key, values in (("labels", labels), ("source_classes", sources)):
-        _require(
-            isinstance(values, list)
-            and len(values) >= 1
-            and all(type(v) is int and 0 <= v < n_classes for v in values),
-            f"{key} must be a nonempty array of integers in [0, {n_classes})",
-        )
-    G = len(labels)
-    _require(len(sources) == G, f"{G} labels but {len(sources)} source_classes")
-    text = doc.get("points")
-    _require(isinstance(text, str), "points must be a base64 string")
+def _f8_matrix(doc: dict, key: str, rows: int, d: int) -> np.ndarray:
+    """The (rows, d) matrix stored under key as base64 little-endian float64."""
+    text = doc.get(key)
+    _require(isinstance(text, str), f"{key} must be a base64 string")
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error, or a character outside ASCII
-        raise MalformedModelError(f"malformed model document: points: {exc}") from exc
+        raise MalformedModelError(f"malformed model document: {key}: {exc}") from exc
     _require(
-        len(raw) == 8 * G * d, f"points must hold {G} x {d} float64 values, not {len(raw)} bytes"
+        len(raw) == 8 * rows * d,
+        f"{key} must hold {rows} x {d} float64 values, not {len(raw)} bytes",
     )
-    points = np.frombuffer(raw, dtype="<f8").reshape(G, d).astype(np.float64)
-    finite = np.isfinite(points).all(axis=1)
-    if not finite.all():
-        raise NonFiniteModelError(f"non-finite value in generator {int(finite.argmin())}")
-    return [
-        Generator(point=p, label=label, source_class=source)
-        for p, label, source in zip(points, labels, sources)
-    ]
+    return np.frombuffer(raw, dtype="<f8").reshape(rows, d)
 
 
 def load_model(data: bytes | str) -> Model:
@@ -517,11 +517,13 @@ def load_model(data: bytes | str) -> Model:
 
     Raises MalformedModelError, ModelVersionError, or
     NonFiniteModelError (distinct codes) for broken documents,
-    unsupported versions, and non-finite coordinates respectively.
-    correction_iterations is optional in either version and defaults
-    to 0; a version-1 document writes each generator as an object
+    unsupported versions, and non-finite coordinates or scaler entries
+    respectively. correction_iterations is optional in either version
+    and defaults to 0; label_names and scaler are optional in version 2.
+    A version-1 document writes each generator as an object
     {"point": [...], "label": ..., "source_class": ...} whose
-    source_class defaults to the label, and has no label_names.
+    source_class defaults to the label, and has no label_names or
+    scaler.
     """
     if isinstance(data, bytes):
         try:
@@ -547,19 +549,37 @@ def load_model(data: bytes | str) -> Model:
 
     d, n_classes = doc["d"], doc["n_classes"]
     if version == 1:
-        generators, names = _v1_generators(doc, d, n_classes), None
+        points, labels, sources = _v1_arrays(doc, d)
     else:
-        generators, names = _v2_generators(doc, d, n_classes), doc.get("label_names")
+        labels, sources = doc.get("labels"), doc.get("source_classes")
+    # one pass over each G-long list; the points are checked as arrays
+    for key, values in (("labels", labels), ("source_classes", sources)):
+        _require(
+            isinstance(values, list)
+            and len(values) >= 1
+            and all(type(v) is int and 0 <= v < n_classes for v in values),
+            f"{key} must be a nonempty array of integers in [0, {n_classes})",
+        )
+    G = len(labels)
+    _require(len(sources) == G, f"{G} labels but {len(sources)} source_classes")
+    names = scaler = None
+    if version == 2:
+        points = _f8_matrix(doc, "points", G, d)
+        names = doc.get("label_names")
         _require(names is None or isinstance(names, list), "label_names must be an array")
+        if "scaler" in doc:
+            scaler = _f8_matrix(doc, "scaler", 2, d)
+            if not np.isfinite(scaler).all():
+                raise NonFiniteModelError("non-finite value in scaler")
+    finite = np.isfinite(points).all(axis=1)
+    if not finite.all():
+        raise NonFiniteModelError(f"non-finite value in generator {int(finite.argmin())}")
 
     try:
         return Model(
-            generators=generators,
-            n_classes=n_classes,
-            d=d,
-            k=doc["k"],
-            correction_iterations=corr,
-            label_names=names,
+            points=points, labels=labels, source_classes=sources, n_classes=n_classes,
+            k=doc["k"], correction_iterations=corr, label_names=names,
+            scaler=None if scaler is None else ScalerParams(mean=scaler[0], scale=scaler[1]),
         )
     except ValueError as exc:
         raise MalformedModelError(f"malformed model document: {exc}") from exc

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superklust import Generator, Model
+from superklust import Model
 
 
 def benchmark_data_dir() -> Path:
@@ -34,15 +34,15 @@ def random_labeled_model(
         n_gen = int(rng.integers(1, 41))
     if n_classes is None:
         n_classes = int(rng.integers(2, 7))
-    gens = [
-        Generator(
-            point=rng.normal(0.0, scale, d),
-            label=int(rng.integers(n_classes)),
-            source_class=int(rng.integers(n_classes)),
-        )
+    # per generator, in this order: its point, its label, its source class
+    draws = [
+        (rng.normal(0.0, scale, d), int(rng.integers(n_classes)), int(rng.integers(n_classes)))
         for _ in range(n_gen)
     ]
-    return Model(generators=gens, n_classes=n_classes, d=d, k=n_gen)
+    points, labels, sources = zip(*draws)
+    return Model(
+        points=np.array(points), labels=labels, source_classes=sources, n_classes=n_classes, k=n_gen
+    )
 
 
 # --- acceptance reporting -------------------------------------------------

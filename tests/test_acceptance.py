@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -118,7 +119,8 @@ def test_criterion_3_correction_monotone():
             for _ in range(50):
                 step = correct(current, train, max_passes=1)
                 accuracies.append(evaluate(step, train))
-                if step.generators == current.generators:
+                # the same generators, one pass later
+                if replace(step, correction_iterations=current.correction_iterations) == current:
                     terminated = True
                     current = step
                     break

@@ -1,19 +1,31 @@
+import io
 import json
+import re
+import shlex
 import subprocess
 import sys
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from superklust import (
     KMeansConfig,
+    cli,
+    decision_grid,
     evaluate,
     fit,
     load_csv,
     load_model,
     make_gaussian_blobs,
+    predict,
     save_model,
+    standardize_apply,
+    standardize_fit,
+    to_discriminants,
     write_dataset_csv,
+    write_grid_csv,
 )
 
 
@@ -31,6 +43,17 @@ def synth(tmp_path, *argv):
     out = tmp_path / "data.csv"
     proc = run_cli("synth", *argv, "--out", str(out))
     assert proc.returncode == 0, proc.stderr
+    return out
+
+
+def scaled_blobs(tmp_path):
+    """Three blob classes in 3-D whose middle feature is shifted by 5e4
+    and stretched 1000-fold, so that only a standardized fit separates
+    them."""
+    ds = make_gaussian_blobs(60, [[0.0, 0.0, 0.0], [4.0, 1.0, 3.0], [1.0, 5.0, -2.0]], 1.0, seed=3)
+    ds.X[:, 1] = ds.X[:, 1] * 1000.0 + 5e4
+    out = tmp_path / "data.csv"
+    write_dataset_csv(out, ds, header=False)
     return out
 
 
@@ -93,7 +116,7 @@ class TestFit:
         assert "generators: " in proc.stdout
         assert "training accuracy: " in proc.stdout
         model = load_model(model_path.read_bytes())
-        assert len(model.generators) <= 2 * 2
+        assert len(model.labels) <= 2 * 2
         assert model.d == 2 and model.n_classes == 2
 
     def test_missing_file_exits_1(self, tmp_path):
@@ -131,24 +154,35 @@ class TestFit:
         assert proc.returncode == 2
         assert "--k must be >= 1" in proc.stderr
 
-    def test_standardize_writes_scaler_sidecar(self, tmp_path):
-        data = synth(tmp_path, "blobs", "--n", "100", "--classes", "2")
+    def test_standardize_keeps_scaler_in_model(self, tmp_path):
+        data = scaled_blobs(tmp_path)
         model_path = tmp_path / "model.json"
         proc = run_cli(
-            "fit",
-            "--data",
-            str(data),
-            "--k",
-            "2",
-            "--standardize",
-            "--out",
-            str(model_path),
+            "fit", "--data", str(data), "--k", "2", "--standardize", "--out", str(model_path)
         )
         assert proc.returncode == 0, proc.stderr
-        sidecar = tmp_path / "model.json.scaler.json"
-        assert sidecar.exists()
-        doc = json.loads(sidecar.read_text())
-        assert len(doc["mean"]) == 2 and len(doc["scale"]) == 2
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["data.csv", "model.json"]
+        model = load_model(model_path.read_bytes())
+        ds = load_csv(data, label_column=-1)
+        assert model.scaler == standardize_fit(ds)
+        # the library fit of the standardized rows, with the scaler attached
+        config = KMeansConfig(k=2, seed=0)
+        assert model == replace(fit(standardize_apply(model.scaler, ds), config),
+                                scaler=model.scaler)
+        assert proc.stdout.splitlines() == [
+            f"generators: {len(model.labels)}",
+            f"training accuracy: {evaluate(model, ds):.4f}",
+        ]
+        assert evaluate(model, ds) == 1.0
+
+    def test_scaler_out_exits_2(self, tmp_path):
+        data = scaled_blobs(tmp_path)
+        proc = run_cli(
+            "fit", "--data", str(data), "--standardize", "--scaler-out", "s.json",
+            "--out", str(tmp_path / "m.json"),
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --scaler-out s.json" in proc.stderr
 
 
 class TestPredict:
@@ -253,47 +287,32 @@ class TestPredict:
         assert proc.returncode == 1
         assert proc.stderr.splitlines() == [f"error: {message}"]
 
-    def test_scaler_round_trip(self, tmp_path):
-        data = synth(tmp_path, "blobs", "--n", "200", "--classes", "2", "--sigma", "0.5")
+    def test_standardized_model_predicts_raw_rows(self, tmp_path):
+        data = scaled_blobs(tmp_path)
         model_path = tmp_path / "model.json"
         proc = run_cli(
             "fit", "--data", str(data), "--k", "2", "--standardize", "--out", str(model_path)
         )
         assert proc.returncode == 0, proc.stderr
+        out = tmp_path / "p.csv"
         proc = run_cli(
-            "predict",
-            "--model",
-            str(model_path),
-            "--data",
-            str(data),
-            "--label-col",
-            "-1",
-            "--scaler",
-            str(tmp_path / "model.json.scaler.json"),
-            "--out",
-            str(tmp_path / "p.csv"),
+            "predict", "--model", str(model_path), "--data", str(data), "--label-col", "-1",
+            "--out", str(out),
         )
         assert proc.returncode == 0, proc.stderr
-        accuracy = float(proc.stdout.split("accuracy: ")[1].split()[0])
-        assert accuracy >= 0.95
+        model = load_model(model_path.read_bytes())
+        ds = load_csv(data, label_column=-1)
+        mean, scale = model.scaler.mean, model.scaler.scale
+        want = predict(to_discriminants(replace(model, scaler=None)), (ds.X - mean) / scale)
+        assert out.read_text() == "label\n" + "".join(f"{lab}\n" for lab in want.tolist())
+        assert proc.stdout.splitlines() == [f"accuracy: {float((want == ds.y).mean()):.4f}"]
+        assert (want == ds.y).all()
 
-    @pytest.mark.parametrize(
-        "sidecar",
-        [{"mean": [0.0, 0.0]}, {"mean": [0.0, 0.0, 0.0], "scale": [1.0, 1.0, 1.0]}],
-        ids=["missing-scale", "wrong-length"],
-    )
-    def test_bad_scaler_sidecar_exits_1(self, tmp_path, sidecar):
+    def test_scaler_flag_exits_2(self, tmp_path):
         data, model_path = self.fitted(tmp_path)
-        scaler = tmp_path / "bad.scaler.json"
-        scaler.write_text(json.dumps(sidecar))
-        proc = run_cli(
-            "predict", "--model", str(model_path), "--data", str(data),
-            "--label-col", "-1", "--scaler", str(scaler),
-        )
-        assert proc.returncode == 1
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
-        assert str(scaler) in lines[0]
+        proc = run_cli("predict", "--model", str(model_path), "--data", str(data), "--scaler", "x")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --scaler x" in proc.stderr
 
 
 class TestGrid:
@@ -303,6 +322,52 @@ class TestGrid:
         proc = run_cli("fit", "--data", str(data), "--k", "3", "--out", str(model_path))
         assert proc.returncode == 0, proc.stderr
         return model_path
+
+    def test_grid_writes_label_tokens(self, tmp_path):
+        train = tmp_path / "train.csv"
+        train.write_text("0,0,a\n0.1,0,a\n5,5,b\n5.1,5,b\n10,0,c\n10.1,0,c\n")
+        model_path = tmp_path / "model.json"
+        proc = run_cli("fit", "--data", str(train), "--k", "1", "--out", str(model_path))
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli(
+            "grid", "--model", str(model_path), "--resolution", "2",
+            "--x-min", "0", "--x-max", "10", "--y-min", "0", "--y-max", "5",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "x,y,label\n0.0,0.0,a\n0.0,5.0,a\n10.0,0.0,c\n10.0,5.0,b\n"
+
+    def test_id_named_grid_writes_class_ids(self, tmp_path):
+        model_path = self.model_2d(tmp_path)
+        proc = run_cli("grid", "--model", str(model_path), "--resolution", "15")
+        assert proc.returncode == 0, proc.stderr
+        bank = to_discriminants(load_model(model_path.read_bytes()))
+        xy, labels = decision_grid(bank, (-3.0, 3.0), (-3.0, 3.0), 15)
+        want = io.StringIO()
+        write_grid_csv(want, xy, labels)
+        assert proc.stdout == want.getvalue()
+
+    def test_standardized_grid_in_raw_coordinates(self, tmp_path):
+        data = tmp_path / "train.csv"
+        ds = make_gaussian_blobs(30, [[1000.0, 0.0], [1010.0, 0.0]], 1.0, seed=3)
+        write_dataset_csv(data, ds, header=False)
+        model_path = tmp_path / "model.json"
+        proc = run_cli(
+            "fit", "--data", str(data), "--k", "2", "--standardize", "--out", str(model_path)
+        )
+        assert proc.returncode == 0, proc.stderr
+        proc = run_cli(
+            "grid", "--model", str(model_path), "--resolution", "6",
+            "--x-min", "995", "--x-max", "1015", "--y-min", "-3", "--y-max", "3",
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+        xy = np.array([[float(x), float(y)] for x, y, _ in rows])
+        model = load_model(model_path.read_bytes())
+        scaler = model.scaler
+        want = predict(to_discriminants(replace(model, scaler=None)),
+                       (xy - scaler.mean) / scaler.scale)
+        assert [int(lab) for _, _, lab in rows] == want.tolist()
+        assert xy[0].tolist() == [995.0, -3.0] and set(want.tolist()) == {0, 1}
 
     def test_grid_row_count(self, tmp_path):
         model_path = self.model_2d(tmp_path)
@@ -432,6 +497,25 @@ class TestFetch:
         proc = run_cli("fetch", "--verify", "--data-dir", str(tmp_path))
         assert proc.returncode == 1
         assert "checksum mismatch: f.txt" in proc.stderr
+
+
+class TestReadme:
+    def test_documented_commands_parse(self):
+        # every superklust line of README's sh blocks parses with today's flags
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        lines = [
+            line
+            for block in re.findall(r"^```sh\n(.*?)^```", text, re.S | re.M)
+            for line in block.splitlines()
+            if line.startswith("superklust ")
+        ]
+        assert len(lines) >= 6
+        parser = cli.build_parser()
+        for line in lines:
+            try:
+                parser.parse_args(shlex.split(line)[1:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {line}")
 
 
 class TestHelpAndDispatch:

@@ -15,6 +15,7 @@ from superklust import (
     ModelFormatError,
     ModelVersionError,
     NonFiniteModelError,
+    ScalerParams,
     assemble,
     correct,
     evaluate,
@@ -27,28 +28,23 @@ from superklust import (
     save_model,
     to_discriminants,
 )
+from superklust import _nearest
 from conftest import random_labeled_model
 
 
 def two_sided_model():
     """x < 0 -> class 0, x > 0 -> class 1, ties -> class 0 (index 0)."""
     return Model(
-        generators=[
-            Generator(point=np.array([-1.0, 0.0]), label=0, source_class=0),
-            Generator(point=np.array([1.0, 0.0]), label=1, source_class=1),
-        ],
-        n_classes=2,
-        d=2,
-        k=1,
+        points=[[-1.0, 0.0], [1.0, 0.0]], labels=[0, 1], source_classes=[0, 1], n_classes=2, k=1
     )
 
 
 class TestAssemble:
     def test_two_singleton_classes(self):
         model = assemble([np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])])
-        assert len(model.generators) == 2
-        assert [g.label for g in model.generators] == [0, 1]
-        assert [g.source_class for g in model.generators] == [0, 1]
+        assert len(model.labels) == 2
+        assert model.labels.tolist() == [0, 1]
+        assert model.source_classes.tolist() == [0, 1]
         np.testing.assert_array_equal(model.points, [[0.0, 0.0], [1.0, 1.0]])
         assert model.correction_iterations == 0
 
@@ -56,15 +52,15 @@ class TestAssemble:
         rng = np.random.default_rng(0)
         c0, c1 = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
         model = assemble([c0, c1])
-        assert len(model.generators) == 8
-        assert [g.label for g in model.generators] == [0, 0, 0, 1, 1, 1, 1, 1]
+        assert len(model.labels) == 8
+        assert model.labels.tolist() == [0, 0, 0, 1, 1, 1, 1, 1]
         np.testing.assert_array_equal(model.points, np.concatenate([c0, c1]))
         assert model.k == 5
 
     def test_empty_class_contributes_nothing(self):
         model = assemble([np.empty((0, 2)), np.array([[4.0, 5.0]])])
-        assert len(model.generators) == 1
-        assert model.generators[0].label == 1
+        assert len(model.labels) == 1
+        assert model.labels[0] == 1
         assert model.n_classes == 2
 
     def test_dimension_mismatch(self):
@@ -78,62 +74,79 @@ class TestAssemble:
 
 class TestModelValidation:
     def test_budget_enforced(self):
-        gens = [
-            Generator(point=np.array([float(i)]), label=0, source_class=0) for i in range(3)
-        ]
         with pytest.raises(ValueError, match="budget"):
-            Model(generators=gens, n_classes=1, d=1, k=2)
+            Model(points=[[0.0], [1.0], [2.0]], labels=[0, 0, 0], source_classes=[0, 0, 0],
+                  n_classes=1, k=2)
 
     def test_label_range_enforced(self):
-        g = Generator(point=np.array([0.0]), label=2, source_class=0)
         with pytest.raises(ValueError, match="label"):
-            Model(generators=[g], n_classes=2, d=1, k=1)
+            Model(points=[[0.0]], labels=[2], source_classes=[0], n_classes=2, k=1)
+
+    @pytest.mark.parametrize("source", [5, -1])
+    def test_source_class_range_enforced(self, source):
+        with pytest.raises(ValueError, match="source_classes entry"):
+            Model(points=[[0.0]], labels=[0], source_classes=[source], n_classes=1, k=1)
+
+    @pytest.mark.parametrize(
+        "labels", [[0.0], [True], [0, 0], [[0]]], ids=["float", "bool", "too-many", "matrix"]
+    )
+    def test_labels_must_be_one_integer_per_generator(self, labels):
+        with pytest.raises(ValueError, match="integer class ids"):
+            Model(points=[[0.0]], labels=labels, source_classes=[0], n_classes=1, k=2)
 
     def test_dimension_enforced(self):
-        g = Generator(point=np.array([0.0, 0.0]), label=0, source_class=0)
+        # the points form one (G, d) matrix, and a scaler has d entries
+        with pytest.raises(ValueError, match=r"\(G, d\) matrix"):
+            Model(points=[0.0, 0.0], labels=[0], source_classes=[0], n_classes=1, k=1)
+        scaler = ScalerParams(mean=np.zeros(3), scale=np.ones(3))
         with pytest.raises(ValueError, match="dimension"):
-            Model(generators=[g], n_classes=1, d=3, k=1)
+            Model(points=[[0.0, 0.0]], labels=[0], source_classes=[0], n_classes=1, k=1,
+                  scaler=scaler)
 
     def test_non_finite_point_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            Generator(point=np.array([np.nan]), label=0, source_class=0)
+            Model(points=[[np.nan]], labels=[0], source_classes=[0], n_classes=1, k=1)
+
+    def test_arrays_are_read_only_copies(self):
+        points, labels = np.array([[1.0, 2.0]]), np.array([0])
+        model = Model(points=points, labels=labels, source_classes=labels, n_classes=1, k=1)
+        points[0, 0] = labels[0] = 9
+        assert model.points.tolist() == [[1.0, 2.0]] and model.labels.tolist() == [0]
+        assert model.points.dtype == np.float64 and model.labels.dtype == np.int64
+        for array in (model.points, model.labels, model.source_classes):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert model.d == 2
+
+    def test_generators_view(self):
+        model = Model(points=[[0.0, 1.0], [2.0, 3.0]], labels=[1, 0], source_classes=[0, 0],
+                      n_classes=2, k=1)
+        gens = model.generators
+        assert all(isinstance(g, Generator) for g in gens)
+        assert [(g.point.tolist(), g.label, g.source_class) for g in gens] == [
+            ([0.0, 1.0], 1, 0), ([2.0, 3.0], 0, 0)
+        ]
+        assert np.shares_memory(gens[1].point, model.points)
 
 
 class TestDiscriminants:
     def test_zero_generator(self):
         bank = to_discriminants(
-            Model(
-                generators=[Generator(point=np.array([0.0, 0.0]), label=0, source_class=0)],
-                n_classes=1,
-                d=2,
-                k=1,
-            )
+            Model(points=[[0.0, 0.0]], labels=[0], source_classes=[0], n_classes=1, k=1)
         )
         np.testing.assert_array_equal(bank.weights, [[0.0, 0.0]])
         assert bank.biases[0] == 0.0
 
     def test_three_four_generator(self):
         bank = to_discriminants(
-            Model(
-                generators=[Generator(point=np.array([3.0, 4.0]), label=0, source_class=0)],
-                n_classes=1,
-                d=2,
-                k=1,
-            )
+            Model(points=[[3.0, 4.0]], labels=[0], source_classes=[0], n_classes=1, k=1)
         )
         np.testing.assert_array_equal(bank.weights, [[6.0, 8.0]])
         assert bank.biases[0] == -25.0
 
     def test_three_dim_generator(self):
         bank = to_discriminants(
-            Model(
-                generators=[
-                    Generator(point=np.array([1.0, -1.0, 2.0]), label=0, source_class=0)
-                ],
-                n_classes=1,
-                d=3,
-                k=1,
-            )
+            Model(points=[[1.0, -1.0, 2.0]], labels=[0], source_classes=[0], n_classes=1, k=1)
         )
         np.testing.assert_array_equal(bank.weights, [[2.0, -2.0, 4.0]])
         assert bank.biases[0] == -6.0
@@ -143,14 +156,14 @@ class TestDiscriminants:
         model = random_labeled_model(rng, d=4)
         bank = to_discriminants(model)
         np.testing.assert_array_equal(bank.labels, model.labels)
-        assert bank.weights.shape == (len(model.generators), 4)
+        assert bank.weights.shape == (len(model.labels), 4)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_one_copy_of_the_forms(self, dtype):
         rng = np.random.default_rng(1)
         model = random_labeled_model(rng, d=4)
         bank = to_discriminants(model, dtype=dtype)
-        G = len(model.generators)
+        G = len(model.labels)
         # weights and biases are views into the G * (d + 1) floats of forms
         assert bank.forms.shape == (5, G) and bank.forms.dtype == dtype
         assert bank.forms.flags.owndata
@@ -162,13 +175,8 @@ class TestDiscriminants:
 class TestPredict:
     def test_nearer_generator_wins(self):
         model = Model(
-            generators=[
-                Generator(point=np.array([0.0, 0.0]), label=0, source_class=0),
-                Generator(point=np.array([10.0, 0.0]), label=1, source_class=1),
-            ],
-            n_classes=2,
-            d=2,
-            k=1,
+            points=[[0.0, 0.0], [10.0, 0.0]], labels=[0, 1], source_classes=[0, 1],
+            n_classes=2, k=1,
         )
         bank = to_discriminants(model)
         np.testing.assert_array_equal(predict(bank, [[1.0, 0.0]]), [0])
@@ -177,13 +185,8 @@ class TestPredict:
     def test_exact_tie_goes_to_lowest_index(self):
         # index 0 carries label 1 so the tie rule is observable
         model = Model(
-            generators=[
-                Generator(point=np.array([-1.0, 0.0]), label=1, source_class=1),
-                Generator(point=np.array([1.0, 0.0]), label=0, source_class=0),
-            ],
-            n_classes=2,
-            d=2,
-            k=1,
+            points=[[-1.0, 0.0], [1.0, 0.0]], labels=[1, 0], source_classes=[1, 0],
+            n_classes=2, k=1,
         )
         bank = to_discriminants(model)
         queries = np.column_stack([np.zeros(5), np.linspace(-2, 2, 5)])
@@ -225,6 +228,23 @@ class TestPredict:
         with pytest.raises(ValueError, match="^non-finite feature in query row 3$"):
             predict(bank, X)
 
+    @pytest.mark.parametrize("block_entries", [64, 1 << 20], ids=["blocks", "one-block"])
+    def test_scaler_applied_like_scaled_rows(self, monkeypatch, block_entries):
+        # the bank's in-place scaling equals scaling the rows first, bit for bit
+        monkeypatch.setattr(_nearest, "BLOCK_ENTRIES", block_entries)
+        rng = np.random.default_rng(31)
+        model = random_labeled_model(rng, d=3, n_gen=12)
+        scaler = ScalerParams(mean=rng.normal(50.0, 9.0, 3), scale=rng.uniform(0.5, 40.0, 3))
+        X = rng.normal(50.0, 30.0, (300, 3))
+        raw = X.copy()
+        scaled = (X - scaler.mean) / scaler.scale
+        bank = to_discriminants(replace(model, scaler=scaler))
+        assert bank.scaler is not None
+        want = predict(to_discriminants(model), scaled)
+        np.testing.assert_array_equal(predict(bank, X), want)
+        np.testing.assert_array_equal(predict_oracle(replace(model, scaler=scaler), X), want)
+        np.testing.assert_array_equal(X, raw)  # the caller's rows are not scaled
+
     def test_float32_bank(self):
         train = make_gaussian_blobs(
             50, centers=[[0.0, 0.0], [40.0, 40.0], [-40.0, 40.0]], sigma=1.0, seed=4
@@ -262,52 +282,35 @@ class TestCorrect:
     def test_majority_relabel(self):
         train = self.blob_train()
         swapped = Model(
-            generators=[
-                Generator(point=np.array([0.0, 0.0]), label=1, source_class=1),
-                Generator(point=np.array([10.0, 10.0]), label=0, source_class=0),
-            ],
-            n_classes=2,
-            d=2,
-            k=1,
+            points=[[0.0, 0.0], [10.0, 10.0]], labels=[1, 0], source_classes=[1, 0],
+            n_classes=2, k=1,
         )
         fixed = correct(swapped, train)
-        assert [g.label for g in fixed.generators] == [0, 1]
-        assert [g.source_class for g in fixed.generators] == [1, 0]
+        assert fixed.labels.tolist() == [0, 1]
+        assert fixed.source_classes.tolist() == [1, 0]
         assert fixed.correction_iterations == 2
         assert evaluate(fixed, train) == 1.0
 
     def test_unoccupied_generator_removed(self):
         train = self.blob_train()
         model = Model(
-            generators=[
-                Generator(point=np.array([0.0, 0.0]), label=0, source_class=0),
-                Generator(point=np.array([10.0, 10.0]), label=1, source_class=1),
-                Generator(point=np.array([500.0, 500.0]), label=0, source_class=0),
-            ],
-            n_classes=2,
-            d=2,
-            k=2,
+            points=[[0.0, 0.0], [10.0, 10.0], [500.0, 500.0]], labels=[0, 1, 0],
+            source_classes=[0, 1, 0], n_classes=2, k=2,
         )
         fixed = correct(model, train)
-        assert len(fixed.generators) == 2
+        assert len(fixed.labels) == 2
         np.testing.assert_array_equal(fixed.points, model.points[:2])
 
     def test_already_consistent_increments_by_one(self):
         train = self.blob_train()
         model = Model(
-            generators=[
-                Generator(point=np.array([0.0, 0.0]), label=0, source_class=0),
-                Generator(point=np.array([10.0, 10.0]), label=1, source_class=1),
-            ],
-            n_classes=2,
-            d=2,
-            k=1,
+            points=[[0.0, 0.0], [10.0, 10.0]], labels=[0, 1], source_classes=[0, 1],
+            n_classes=2, k=1,
         )
         once = correct(model, train)
-        assert once.generators == model.generators
-        assert once.correction_iterations == 1
+        assert once == replace(model, correction_iterations=1)
         twice = correct(once, train)
-        assert twice.generators == once.generators
+        assert twice == replace(once, correction_iterations=2)
         assert twice.correction_iterations == 2
 
     def test_majority_tie_keeps_current_label(self):
@@ -316,14 +319,9 @@ class TestCorrect:
             y=np.array([0, 0, 1, 1]),
             n_classes=2,
         )
-        model = Model(
-            generators=[Generator(point=np.array([0.0, 0.0]), label=1, source_class=1)],
-            n_classes=2,
-            d=2,
-            k=1,
-        )
+        model = Model(points=[[0.0, 0.0]], labels=[1], source_classes=[1], n_classes=2, k=1)
         fixed = correct(model, train)
-        assert fixed.generators[0].label == 1
+        assert fixed.labels[0] == 1
         assert fixed.correction_iterations == 1
 
     def test_majority_tie_without_current_takes_lowest_class(self):
@@ -332,14 +330,9 @@ class TestCorrect:
             y=np.array([1, 1, 0, 0]),
             n_classes=3,
         )
-        model = Model(
-            generators=[Generator(point=np.array([0.0, 0.0]), label=2, source_class=2)],
-            n_classes=3,
-            d=2,
-            k=1,
-        )
+        model = Model(points=[[0.0, 0.0]], labels=[2], source_classes=[2], n_classes=3, k=1)
         fixed = correct(model, train)
-        assert fixed.generators[0].label == 0
+        assert fixed.labels[0] == 0
 
     def test_single_pass_chain_reaches_multi_pass_endpoint(self):
         rng = np.random.default_rng(7)
@@ -353,7 +346,7 @@ class TestCorrect:
         step = model
         for _ in range(full.correction_iterations):
             step = correct(step, train, max_passes=1)
-        assert step.generators == full.generators
+        assert step == full
 
     def test_training_accuracy_non_decreasing(self):
         rng = np.random.default_rng(8)
@@ -373,6 +366,16 @@ class TestCorrect:
                 after = evaluate(stage, train)
                 assert after >= before
                 before = after
+
+    def test_scaled_model_takes_raw_rows(self):
+        train = self.blob_train()
+        scaler = ScalerParams(mean=[5.0, 5.0], scale=[2.0, 4.0])
+        raw = Dataset(X=train.X * scaler.scale + scaler.mean, y=train.y, n_classes=2)
+        model = Model(points=[[0.0, 0.0], [10.0, 10.0]], labels=[1, 0], source_classes=[1, 0],
+                      n_classes=2, k=1)
+        fixed = correct(replace(model, scaler=scaler), raw)
+        assert fixed == replace(correct(model, Dataset(
+            X=(raw.X - scaler.mean) / scaler.scale, y=train.y, n_classes=2)), scaler=scaler)
 
     def test_empty_training_set_rejected(self):
         empty = SimpleNamespace(X=np.empty((0, 2)), y=np.empty(0, dtype=np.int64))
@@ -427,14 +430,14 @@ class TestFit:
         test = make_gaussian_blobs(200, centers=centers, sigma=1.0, seed=10)
         model = fit(train, KMeansConfig(k=2, seed=0))
         assert evaluate(model, test) == 1.0
-        assert len(model.generators) <= 2 * 2
+        assert len(model.labels) <= 2 * 2
 
     def test_moons_generator_budget(self):
         train = make_moons(400, noise=0.1, seed=11)
         for k in (3, 10, 17):
             model = fit(train, KMeansConfig(k=k, seed=0))
             for c in (0, 1):
-                per_class = sum(1 for g in model.generators if g.source_class == c)
+                per_class = int((model.source_classes == c).sum())
                 assert 1 <= per_class <= k
 
     def test_moons_accuracy(self):
@@ -448,8 +451,8 @@ class TestFit:
             X=rng.normal(size=(30, 2)), y=np.zeros(30, dtype=np.int64), n_classes=1
         )
         model = fit(train, KMeansConfig(k=3, seed=0))
-        assert len(model.generators) <= 3
-        assert all(g.label == 0 for g in model.generators)
+        assert len(model.labels) <= 3
+        assert (model.labels == 0).all()
         preds = predict(to_discriminants(model), rng.normal(size=(50, 2)))
         assert (preds == 0).all()
 
@@ -472,7 +475,7 @@ class TestFit:
         train.label_names = ("upper", "lower")
         named = fit(train, config)
         assert named.label_names == ("upper", "lower") and unnamed.label_names is None
-        assert named.generators == unnamed.generators
+        assert named == replace(unnamed, label_names=("upper", "lower"))
 
 
 class TestEvaluate:
@@ -484,12 +487,7 @@ class TestEvaluate:
         assert evaluate(model, self_train) == 1.0
 
     def test_constant_predictor_on_balanced_set(self):
-        model = Model(
-            generators=[Generator(point=np.array([0.0, 0.0]), label=0, source_class=0)],
-            n_classes=2,
-            d=2,
-            k=1,
-        )
+        model = Model(points=[[0.0, 0.0]], labels=[0], source_classes=[0], n_classes=2, k=1)
         test = Dataset(
             X=np.random.default_rng(16).normal(size=(40, 2)),
             y=np.repeat([0, 1], 20),
@@ -531,9 +529,7 @@ class TestSerialization:
 
     def test_float_bytes_pinned(self):
         point = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, 0.30000000000000004]
-        model = Model(
-            generators=[Generator(point=point, label=0, source_class=0)], n_classes=1, d=5, k=1
-        )
+        model = Model(points=[point], labels=[0], source_classes=[0], n_classes=1, k=1)
         assert save_model(model) == (
             b'{"version":2,"d":5,"n_classes":1,"k":1,"correction_iterations":0,"labels":[0],'
             b'"source_classes":[0],"points":"AAAAAAAAAIABAAAAAAAAAP///////+9/mpmZmZmZuT80MzMzMzPTPw=="}\n'
@@ -562,8 +558,8 @@ class TestSerialization:
         ]
         assert doc["version"] == 2
         assert doc["d"] == 2 and doc["n_classes"] == 2 and doc["k"] == 4
-        assert doc["labels"] == [g.label for g in model.generators]
-        assert doc["source_classes"] == [g.source_class for g in model.generators]
+        assert doc["labels"] == model.labels.tolist()
+        assert doc["source_classes"] == model.source_classes.tolist()
         assert base64.b64decode(doc["points"]) == model.points.astype("<f8").tobytes()
 
     def test_minimal_document_accepted(self):
@@ -575,8 +571,7 @@ class TestSerialization:
             "generators": [{"point": [1.0, 2.0], "label": 1}],
         }
         model = load_model(json.dumps(doc))
-        g = model.generators[0]
-        assert g.label == 1 and g.source_class == 1
+        assert model.labels.tolist() == [1] and model.source_classes.tolist() == [1]
         assert model.correction_iterations == 0
 
     @pytest.mark.parametrize(
@@ -599,44 +594,61 @@ class TestSerialization:
         assert info.value.code == "malformed"
 
     @pytest.mark.parametrize(
-        "change",
+        "change,error",
         [
-            {"points": "AAAAAAAAAA!="},
-            {"points": "AAAAAAAAAA\u00e9="},
-            {"points": "AAAAAAAA"},
-            {"points": ["AAAAAAAAAAA="]},
-            {"points": None},
-            {"labels": [True]},
-            {"labels": [1.5]},
-            {"labels": [1]},
-            {"labels": [-1]},
-            {"labels": []},
-            {"source_classes": [2]},
-            {"labels": [0, 0], "points": "AAAAAAAAAAAAAAAAAAAAAA=="},
-            {"k": 1, "labels": [0, 0], "source_classes": [0, 0], "points": "AAAAAAAAAAAAAAAAAAAAAA=="},
-            {"label_names": "a"},
-            {"label_names": ["a", "b"]},
-            {"n_classes": 2, "label_names": ["a", "a"]},
-            {"n_classes": 2, "label_names": ["a", 1]},
+            ({"points": "AAAAAAAAAA!="}, MalformedModelError),
+            ({"points": "AAAAAAAAAA\u00e9="}, MalformedModelError),
+            ({"points": "AAAAAAAA"}, MalformedModelError),
+            ({"points": ["AAAAAAAAAAA="]}, MalformedModelError),
+            ({"points": None}, MalformedModelError),
+            ({"labels": [True]}, MalformedModelError),
+            ({"labels": [1.5]}, MalformedModelError),
+            ({"labels": [1]}, MalformedModelError),
+            ({"labels": [-1]}, MalformedModelError),
+            ({"labels": []}, MalformedModelError),
+            ({"source_classes": [2]}, MalformedModelError),
+            ({"labels": [0, 0], "points": "AAAAAAAAAAAAAAAAAAAAAA=="}, MalformedModelError),
+            (
+                {"k": 1, "labels": [0, 0], "source_classes": [0, 0],
+                 "points": "AAAAAAAAAAAAAAAAAAAAAA=="},
+                MalformedModelError,
+            ),
+            ({"label_names": "a"}, MalformedModelError),
+            ({"label_names": ["a", "b"]}, MalformedModelError),
+            ({"n_classes": 2, "label_names": ["a", "a"]}, MalformedModelError),
+            ({"n_classes": 2, "label_names": ["a", 1]}, MalformedModelError),
+            ({"scaler": [0.0, 1.0]}, MalformedModelError),
+            ({"scaler": "AAAAAAAAAA!="}, MalformedModelError),
+            ({"scaler": base64.b64encode(b"\0" * 24).decode()}, MalformedModelError),
+            ({"scaler": base64.b64encode(np.array([0.0, np.nan]).tobytes()).decode()},
+             NonFiniteModelError),
+            ({"scaler": base64.b64encode(np.array([0.0, 0.0]).tobytes()).decode()},
+             MalformedModelError),
+            ({"scaler": base64.b64encode(np.array([0.0, -1.0]).tobytes()).decode()},
+             MalformedModelError),
         ],
         ids=[
             "non-base64", "non-ascii", "truncated", "points-array", "points-missing",
             "label-true", "label-float", "label-range", "label-negative", "no-labels",
             "source-range", "lengths-differ", "over-budget", "names-string", "names-count",
-            "names-repeated", "names-number",
+            "names-repeated", "names-number", "scaler-array", "scaler-non-base64",
+            "scaler-length", "scaler-non-finite", "scaler-zero-scale", "scaler-negative-scale",
         ],
     )
-    def test_malformed_v2_documents(self, change):
-        # a None value in change removes the key
+    def test_malformed_v2_documents(self, change, error):
+        # a None value in change removes the key; the valid document has
+        # no scaler, whose valid form is checked by the scaler round trip
         doc = {
             "version": 2, "d": 1, "n_classes": 1, "k": 2, "correction_iterations": 0,
             "labels": [0], "source_classes": [0], "points": "AAAAAAAAAAA=",
         }
         load_model(json.dumps(doc))
+        load_model(json.dumps({**doc, "scaler": base64.b64encode(
+            np.array([0.0, 1.0]).tobytes()).decode()}))
         doc = {key: v for key, v in {**doc, **change}.items() if v is not None}
-        with pytest.raises(MalformedModelError) as info:
+        with pytest.raises(error) as info:
             load_model(json.dumps(doc))
-        assert info.value.code == "malformed"
+        assert info.value.code == error.code
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_v2_non_finite_error(self, bad):
@@ -658,6 +670,22 @@ class TestSerialization:
         loaded = load_model(blob)
         assert loaded == named and loaded.label_names == ("b", 'a,"x')
         assert loaded != model and save_model(loaded) == blob
+
+    def test_scaler_round_trip_is_bit_exact(self):
+        model = self.fitted_model()
+        scaler = ScalerParams(mean=[-0.0, 1e300], scale=[5e-324, 0.1])
+        scaled = replace(model, scaler=scaler)
+        blob = save_model(scaled)
+        doc = json.loads(blob)
+        assert list(doc)[-2:] == ["scaler", "points"]
+        stored = np.stack([scaler.mean, scaler.scale]).astype("<f8").tobytes()
+        assert base64.b64decode(doc["scaler"]) == stored
+        loaded = load_model(blob)
+        assert loaded == scaled and loaded != model and save_model(loaded) == blob
+        assert loaded.scaler.mean.tobytes() == scaler.mean.tobytes()  # -0.0 included
+        assert loaded.scaler.scale.tobytes() == scaler.scale.tobytes()
+        # without a scaler the document has no scaler key: the same bytes as before
+        assert save_model(replace(loaded, scaler=None)) == save_model(model)
 
     def test_id_names_stored_as_none(self):
         model = self.fitted_model()
