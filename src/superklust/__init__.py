@@ -2,8 +2,9 @@
 
 Per-class k-means turns each class into a handful of cluster means;
 those means become labeled generator points of a Voronoi tessellation,
-a correction stage relabels or prunes them against the training data,
-and inference is an argmax over precomputed linear discriminants.
+one correction pass (already a fixed point) gives each its cell's
+majority class and prunes empty cells, and inference is an argmax over
+precomputed linear discriminants.
 
 The benchmark harness and the dataset fetcher are not imported here;
 import them by module name (superklust.bench, superklust.fetch)."""

@@ -79,7 +79,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--correction-passes", type=int, default=100)
     p.add_argument(
         "--standardize", action="store_true", help="train-fit standardization, kept in the model"
     )
@@ -189,10 +188,7 @@ def cmd_fit(args) -> int:
         n_restarts=args.restarts,
         seed=args.seed,
     )
-    model = replace(
-        tessellation.fit(train, config, max_correction_passes=args.correction_passes),
-        scaler=scaler,
-    )
+    model = replace(tessellation.fit(train, config), scaler=scaler)
     Path(args.out).write_bytes(tessellation.save_model(model))
     accuracy = tessellation.evaluate(model, ds)  # the model scales the raw rows itself
     print(f"generators: {len(model.labels)}")

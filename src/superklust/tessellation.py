@@ -115,6 +115,8 @@ class Model(_ArrayEq):
     interpret it: points, the (G, d) float64 generator matrix in model
     order, and labels and source_classes, (G,) int64 ids in [0,
     n_classes), all read-only copies; k bounds G by k * n_classes.
+    n_classes and k are integers >= 1, correction_iterations (see
+    correct) one >= 0; numpy integers are stored as int, bools refused.
 
     label_names, when present, holds the label token of each class id
     (position = id) in the data the model was fitted on; None means the
@@ -136,6 +138,12 @@ class Model(_ArrayEq):
     scaler: ScalerParams | None = None
 
     def __post_init__(self):
+        for name, least in (("n_classes", 1), ("k", 1), ("correction_iterations", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+                kind = "positive" if least else "nonnegative"
+                raise ValueError(f"{name} must be a {kind} integer")
+            setattr(self, name, int(value))
         points = np.array(self.points, dtype=np.float64)
         if points.ndim != 2 or points.size == 0:
             raise ValueError(f"points must be a nonempty (G, d) matrix, not shape {points.shape}")
@@ -330,20 +338,26 @@ def predict_oracle(model: Model, X) -> np.ndarray:
     return out
 
 
-def correct(model: Model, train: "Dataset", max_passes: int = 100) -> Model:
-    """Relabel and prune generators against the training partition.
-
-    Each pass: (1) assign every training sample to its nearest generator
+def correct(model: Model, train: "Dataset") -> Model:
+    """Relabel and prune generators against the training partition, in
+    one pass: (1) assign every training sample to its nearest generator
     (exact explicit-difference squared distances, ties to lowest index);
     (2) give each generator the majority label of its samples, keeping
     the current label when it ties for the majority and otherwise taking
     the lowest tied class id; (3) drop generators that received no
-    samples. Stops after a pass that changes nothing, or after
-    max_passes. Training accuracy never decreases: majority relabeling
-    is optimal for the fixed partition, and dropping empty cells leaves
-    every training sample's nearest generator in place (order, hence
-    tie-breaking, is preserved). The training rows are raw rows (see
-    Model.scaler); label_names and scaler carry over.
+    samples. Training accuracy never decreases: majority relabeling is
+    optimal for the fixed partition, and the prune keeps every sample's
+    nearest generator.
+
+    One pass reaches a fixed point. Every sample's nearest generator
+    survives the prune, since its cell holds the sample; the prune keeps
+    generator order and the search is exact with ties to the lowest
+    index, so a second pass would see the same partition and counts,
+    keep every majority label and find no empty cell. So
+    correction_iterations grows by the passes the rule takes to reach a
+    pass that changes nothing: 1 if nothing is relabeled or dropped,
+    else 2. The training rows are raw rows (see Model.scaler);
+    label_names and scaler carry over.
     """
     if train.X.shape[0] == 0:
         raise ValueError("training set must not be empty")
@@ -352,54 +366,39 @@ def correct(model: Model, train: "Dataset", max_passes: int = 100) -> Model:
             f"dimension mismatch: training data has {train.X.shape[1]} features, "
             f"model has {model.d}"
         )
-    if max_passes < 1:
-        raise ValueError(f"max_passes must be >= 1, got {max_passes}")
     y = np.asarray(train.y)
     if y.min() < 0 or y.max() >= model.n_classes:
         raise ValueError(f"training labels must lie in [0, {model.n_classes})")
 
     X = _scaled(model, train.X)
-    points, labels, sources = model.points, model.labels, model.source_classes
-    x_norms = np.sqrt(sq_norms(X))
-    passes = 0
-
-    while passes < max_passes:
-        passes += 1
-        assign = nearest(X, points, x_norms)
-
-        G, C = points.shape[0], model.n_classes
-        counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
-        # An empty cell ties every class at 0 and so keeps its label.
-        tied = counts == counts.max(axis=1, keepdims=True)
-        keep = tied[np.arange(G), labels]
-        new_labels = np.where(keep, labels, tied.argmax(axis=1))
-
-        occupied = counts.any(axis=1)
-        changed = bool((new_labels != labels).any() or not occupied.all())
-        points = points[occupied]
-        labels = new_labels[occupied]
-        sources = sources[occupied]
-        if not changed:
-            break
-
+    labels = model.labels
+    G, C = labels.shape[0], model.n_classes
+    assign = nearest(X, model.points, np.sqrt(sq_norms(X)))
+    counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
+    # An empty cell ties every class at 0 and so keeps its label.
+    tied = counts == counts.max(axis=1, keepdims=True)
+    new_labels = np.where(tied[np.arange(G), labels], labels, tied.argmax(axis=1))
+    occupied = counts.any(axis=1)
+    changed = bool((new_labels != labels).any() or not occupied.all())
     # A nonempty training set keeps at least one generator occupied.
     return replace(
         model,
-        points=points,
-        labels=labels,
-        source_classes=sources,
-        correction_iterations=model.correction_iterations + passes,
+        points=model.points[occupied],
+        labels=new_labels[occupied],
+        source_classes=model.source_classes[occupied],
+        correction_iterations=model.correction_iterations + 1 + changed,
     )
 
 
-def fit(train: "Dataset", config: KMeansConfig, max_correction_passes: int = 100) -> Model:
-    """Fit the full pipeline: per-class k-means, assembly, correction.
+def fit(train: "Dataset", config: KMeansConfig) -> Model:
+    """Fit the full pipeline: per-class k-means, assembly, and the one
+    correction pass (see correct).
 
     Every class in [0, n_classes) must have at least one sample. Class c
-    clusters with seed config.seed + c * config.n_restarts so that no
-    two (class, restart) pairs share a seed; the whole fit is
-    deterministic given (train, config). The model keeps
-    train.label_names and has no scaler.
+    clusters with config's fields and seed config.seed + c *
+    config.n_restarts, so that no two (class, restart) pairs share a
+    seed; the whole fit is deterministic given (train, config). The
+    model keeps train.label_names and has no scaler.
     """
     if train.X.shape[0] == 0:
         raise ValueError("training set must not be empty")
@@ -408,16 +407,10 @@ def fit(train: "Dataset", config: KMeansConfig, max_correction_passes: int = 100
         Xc = train.X[train.y == c]
         if Xc.shape[0] == 0:
             raise ValueError(f"class {c} has no training samples")
-        cfg = KMeansConfig(
-            k=config.k,
-            max_iter=config.max_iter,
-            tol=config.tol,
-            n_restarts=config.n_restarts,
-            seed=config.seed + c * config.n_restarts,
-        )
+        cfg = replace(config, seed=config.seed + c * config.n_restarts)
         per_class_centers.append(fit_kmeans(Xc, cfg).centers)
     model = replace(assemble(per_class_centers, k=config.k), label_names=train.label_names)
-    return correct(model, train, max_passes=max_correction_passes)
+    return correct(model, train)
 
 
 def evaluate(model_or_bank, test: "Dataset") -> float:
@@ -494,7 +487,11 @@ def _v1_arrays(doc: dict, d: int):
         )
     labels = [g.get("label") for g in gens]
     sources = [g.get("source_class", label) for g, label in zip(gens, labels)]
-    return np.array([g["point"] for g in gens], dtype=np.float64), labels, sources
+    try:
+        points = np.array([g["point"] for g in gens], dtype=np.float64)
+    except OverflowError as exc:  # a JSON integer beyond the float64 range
+        raise NonFiniteModelError(f"non-finite value in a generator point: {exc}") from exc
+    return points, labels, sources
 
 
 def _f8_matrix(doc: dict, key: str, rows: int, d: int) -> np.ndarray:
@@ -517,13 +514,14 @@ def load_model(data: bytes | str) -> Model:
 
     Raises MalformedModelError, ModelVersionError, or
     NonFiniteModelError (distinct codes) for broken documents,
-    unsupported versions, and non-finite coordinates or scaler entries
-    respectively. correction_iterations is optional in either version
-    and defaults to 0; label_names and scaler are optional in version 2.
-    A version-1 document writes each generator as an object
-    {"point": [...], "label": ..., "source_class": ...} whose
-    source_class defaults to the label, and has no label_names or
-    scaler.
+    unsupported versions, and non-finite coordinates (a version-1
+    integer beyond float64 included) or scaler entries respectively;
+    Model checks what decoding does not. correction_iterations is
+    optional in either version and defaults to 0; label_names and scaler
+    are optional in version 2. A version-1 document writes each
+    generator as an object {"point": [...], "label": ...,
+    "source_class": ...} whose source_class defaults to the label, and
+    has no label_names or scaler.
     """
     if isinstance(data, bytes):
         try:
@@ -542,29 +540,21 @@ def load_model(data: bytes | str) -> Model:
         raise ModelVersionError(
             f"unsupported model version {version!r}, expected 1 or {_MODEL_VERSION}"
         )
-    for key in ("d", "n_classes", "k"):
-        _require(isinstance(doc.get(key), int) and doc[key] >= 1, f"{key} must be a positive integer")
-    corr = doc.get("correction_iterations", 0)
-    _require(isinstance(corr, int) and corr >= 0, "correction_iterations must be a nonnegative integer")
-
-    d, n_classes = doc["d"], doc["n_classes"]
+    d = doc.get("d")
+    _require(type(d) is int and d >= 1, "d must be a positive integer")
     if version == 1:
         points, labels, sources = _v1_arrays(doc, d)
     else:
         labels, sources = doc.get("labels"), doc.get("source_classes")
-    # one pass over each G-long list; the points are checked as arrays
+    # one pass over each G-long list: JSON true and 1.0 are not class ids
     for key, values in (("labels", labels), ("source_classes", sources)):
         _require(
-            isinstance(values, list)
-            and len(values) >= 1
-            and all(type(v) is int and 0 <= v < n_classes for v in values),
-            f"{key} must be a nonempty array of integers in [0, {n_classes})",
+            isinstance(values, list) and all(type(v) is int for v in values),
+            f"{key} must be an array of integers",
         )
-    G = len(labels)
-    _require(len(sources) == G, f"{G} labels but {len(sources)} source_classes")
     names = scaler = None
     if version == 2:
-        points = _f8_matrix(doc, "points", G, d)
+        points = _f8_matrix(doc, "points", len(labels), d)
         names = doc.get("label_names")
         _require(names is None or isinstance(names, list), "label_names must be an array")
         if "scaler" in doc:
@@ -577,8 +567,9 @@ def load_model(data: bytes | str) -> Model:
 
     try:
         return Model(
-            points=points, labels=labels, source_classes=sources, n_classes=n_classes,
-            k=doc["k"], correction_iterations=corr, label_names=names,
+            points=points, labels=labels, source_classes=sources,
+            n_classes=doc.get("n_classes"), k=doc.get("k"),
+            correction_iterations=doc.get("correction_iterations", 0), label_names=names,
             scaler=None if scaler is None else ScalerParams(mean=scaler[0], scale=scaler[1]),
         )
     except ValueError as exc:

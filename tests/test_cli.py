@@ -176,13 +176,16 @@ class TestFit:
         assert evaluate(model, ds) == 1.0
 
     def test_scaler_out_exits_2(self, tmp_path):
+        # removed flags: the scaler sidecar, and the correction pass limit
         data = scaled_blobs(tmp_path)
-        proc = run_cli(
-            "fit", "--data", str(data), "--standardize", "--scaler-out", "s.json",
-            "--out", str(tmp_path / "m.json"),
-        )
-        assert proc.returncode == 2
-        assert "unrecognized arguments: --scaler-out s.json" in proc.stderr
+        for flag, value in (("--scaler-out", "s.json"), ("--correction-passes", "3")):
+            proc = run_cli(
+                "fit", "--data", str(data), "--standardize", flag, value,
+                "--out", str(tmp_path / "m.json"),
+            )
+            assert proc.returncode == 2
+            assert f"unrecognized arguments: {flag} {value}" in proc.stderr
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestPredict:

@@ -28,8 +28,33 @@ from superklust import (
     save_model,
     to_discriminants,
 )
-from superklust import _nearest
+from superklust import _nearest, tessellation
 from conftest import random_labeled_model
+
+
+def multi_pass_correct(model, train, max_passes=100):
+    """The correction loop that correct() once ran: passes repeat until
+    one changes nothing, or max_passes. correct() makes one pass and
+    must return the same model, correction_iterations included."""
+    y = np.asarray(train.y)
+    X = tessellation._scaled(model, train.X)
+    points, labels, sources = model.points, model.labels, model.source_classes
+    x_norms = np.sqrt(_nearest.sq_norms(X))
+    passes = 0
+    while passes < max_passes:
+        passes += 1
+        assign = _nearest.nearest(X, points, x_norms)
+        G, C = points.shape[0], model.n_classes
+        counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
+        tied = counts == counts.max(axis=1, keepdims=True)
+        new_labels = np.where(tied[np.arange(G), labels], labels, tied.argmax(axis=1))
+        occupied = counts.any(axis=1)
+        changed = bool((new_labels != labels).any() or not occupied.all())
+        points, labels, sources = points[occupied], new_labels[occupied], sources[occupied]
+        if not changed:
+            break
+    return replace(model, points=points, labels=labels, source_classes=sources,
+                   correction_iterations=model.correction_iterations + passes)
 
 
 def two_sided_model():
@@ -93,6 +118,29 @@ class TestModelValidation:
     def test_labels_must_be_one_integer_per_generator(self, labels):
         with pytest.raises(ValueError, match="integer class ids"):
             Model(points=[[0.0]], labels=labels, source_classes=[0], n_classes=1, k=2)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("n_classes", 0), ("n_classes", True), ("n_classes", 2.0),
+            ("k", 0), ("k", 1.5), ("k", True), ("k", "1"),
+            ("correction_iterations", -1), ("correction_iterations", True),
+            ("correction_iterations", 1.0), ("correction_iterations", None),
+        ],
+    )
+    def test_scalar_fields_enforced(self, field, value):
+        # each value here used to build a Model whose saved bytes load_model
+        # rejected, or (a bool) reloaded as the integer
+        scalars = {"n_classes": 2, "k": 2, "correction_iterations": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be a (positive|nonnegative) integer$"):
+            Model(points=[[0.0]], labels=[0], source_classes=[0], **scalars)
+
+    def test_numpy_integer_fields_stored_as_int(self):
+        model = Model(points=[[0.0]], labels=[0], source_classes=[0], n_classes=np.int64(2),
+                      k=np.int32(1), correction_iterations=np.uint8(2))
+        assert (model.n_classes, model.k, model.correction_iterations) == (2, 1, 2)
+        assert {type(model.n_classes), type(model.k), type(model.correction_iterations)} == {int}
+        assert load_model(save_model(model)) == model
 
     def test_dimension_enforced(self):
         # the points form one (G, d) matrix, and a scaler has d entries
@@ -343,10 +391,52 @@ class TestCorrect:
             n_classes=model.n_classes,
         )
         full = correct(model, train)
+        assert full.correction_iterations == 2
         step = model
         for _ in range(full.correction_iterations):
-            step = correct(step, train, max_passes=1)
+            step = multi_pass_correct(step, train, max_passes=1)
         assert step == full
+        # full is a fixed point: another pass changes nothing but the count
+        assert correct(full, train) == replace(full, correction_iterations=3)
+
+    def test_matches_multi_pass_reference(self):
+        # random rows, and rows and points rounded to integers, which have
+        # distance ties and duplicate generators; then a second correct
+        rng = np.random.default_rng(71)
+        for trial in range(60):
+            d = int(rng.integers(1, 4))
+            model = random_labeled_model(rng, d=d)
+            n = int(rng.integers(5, 120))
+            X = rng.normal(0.0, 3.0, (n, d))
+            if trial % 2:
+                X = X.round()
+                model = replace(model, points=model.points.round())
+            train = Dataset(
+                X=X, y=rng.integers(model.n_classes, size=n), n_classes=model.n_classes
+            )
+            once = correct(model, train)
+            assert once == multi_pass_correct(model, train)
+            twice = correct(once, train)
+            assert twice == multi_pass_correct(once, train)
+            assert twice == replace(once, correction_iterations=once.correction_iterations + 1)
+
+    def test_one_nearest_scan_per_call(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _nearest.nearest(*args)
+
+        monkeypatch.setattr(tessellation, "nearest", counting)
+        train = self.blob_train()
+        # a relabel and a prune: the rule counts two passes, correct scans once
+        model = Model(
+            points=[[0.0, 0.0], [10.0, 10.0], [500.0, 500.0]], labels=[1, 1, 0],
+            source_classes=[0, 1, 0], n_classes=2, k=2,
+        )
+        fixed = correct(model, train)
+        assert fixed.correction_iterations == 2 and len(calls) == 1
+        assert correct(fixed, train).correction_iterations == 3 and len(calls) == 2
 
     def test_training_accuracy_non_decreasing(self):
         rng = np.random.default_rng(8)
@@ -362,7 +452,7 @@ class TestCorrect:
             before = evaluate(model, train)
             stage = model
             for _ in range(3):
-                stage = correct(stage, train, max_passes=1)
+                stage = correct(stage, train)
                 after = evaluate(stage, train)
                 assert after >= before
                 before = after
@@ -387,10 +477,6 @@ class TestCorrect:
         with pytest.raises(ValueError, match="dimension mismatch"):
             correct(two_sided_model(), train)
 
-    def test_bad_max_passes(self):
-        with pytest.raises(ValueError, match="max_passes"):
-            correct(two_sided_model(), self.blob_train(), max_passes=0)
-
     def test_one_pass_matches_per_generator_loop(self):
         # reference: the nearest-generator scan and the per-generator
         # majority vote written as plain loops
@@ -413,7 +499,7 @@ class TestCorrect:
                 tied = np.flatnonzero(votes == votes.max())
                 want_points.append(points[g])
                 want_labels.append(labels[g] if labels[g] in tied else tied[0])
-            got = correct(model, train, max_passes=1)
+            got = correct(model, train)
             np.testing.assert_array_equal(got.points, np.array(want_points))
             np.testing.assert_array_equal(got.labels, want_labels)
 
@@ -626,6 +712,13 @@ class TestSerialization:
              MalformedModelError),
             ({"scaler": base64.b64encode(np.array([0.0, -1.0]).tobytes()).decode()},
              MalformedModelError),
+            ({"d": True}, MalformedModelError),
+            ({"n_classes": None}, MalformedModelError),
+            ({"n_classes": 0}, MalformedModelError),
+            ({"k": True}, MalformedModelError),
+            ({"k": 1.5}, MalformedModelError),
+            ({"correction_iterations": -1}, MalformedModelError),
+            ({"correction_iterations": 1.0}, MalformedModelError),
         ],
         ids=[
             "non-base64", "non-ascii", "truncated", "points-array", "points-missing",
@@ -633,6 +726,8 @@ class TestSerialization:
             "source-range", "lengths-differ", "over-budget", "names-string", "names-count",
             "names-repeated", "names-number", "scaler-array", "scaler-non-base64",
             "scaler-length", "scaler-non-finite", "scaler-zero-scale", "scaler-negative-scale",
+            "d-true", "n-classes-missing", "n-classes-zero", "k-true", "k-float",
+            "iterations-negative", "iterations-float",
         ],
     )
     def test_malformed_v2_documents(self, change, error):
@@ -699,7 +794,9 @@ class TestSerialization:
             load_model(text)
         assert info.value.code == "version"
 
-    @pytest.mark.parametrize("bad", ["Infinity", "-Infinity", "NaN"])
+    @pytest.mark.parametrize(
+        "bad", ["Infinity", "-Infinity", "NaN", pytest.param("1" + "0" * 400, id="401-digits")]
+    )
     def test_non_finite_error(self, bad):
         text = (
             '{"version":1,"d":1,"n_classes":1,"k":1,'
