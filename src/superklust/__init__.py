@@ -39,7 +39,6 @@ from .tessellation import (
     fit,
     load_model,
     predict,
-    predict_oracle,
     save_model,
     to_discriminants,
 )

@@ -10,16 +10,43 @@ differences ((p - x)**2).sum() where the screen cannot decide. The
 results equal those of the explicit-difference computation, ties going
 to the lowest site index.
 
-Why the bound holds, with u the unit roundoff and gamma_n = n u / (1 - n u):
-for r = ||x|| + ||p||, the computed screen value of a site is within
-gamma_{d+1} r^2 of its exact value, and the explicit distance within
-gamma_{d+2} r^2 of the exact distance. Two sites whose screen values
-differ by more than twice the sum of those errors, 4 gamma_{d+2} r^2
-with r taken at the largest site norm, are ordered the same way by the
-explicit distances, without a tie. rounding_bound uses machine epsilon
-(2u) for gamma, which leaves room for the rounding of the norms, the
-bound and the gap themselves. Beyond SAFE_REACH an intermediate value
-of the screen could overflow, so such rows always take the exact path.
+Why the bound holds. Write u for the unit roundoff of a format (2^-53
+in float64, 2^-24 in float32), gamma_n = n u / (1 - n u), r = ||x|| +
+||p||, and tau for the smallest normal number of the screen's format.
+
+- A float64 screen scores x and p as they are. Each screen value is
+  within gamma_{d+1} r^2 of ||p||^2 - 2 p . x, for any order of
+  summation the BLAS takes.
+- A float32 screen (tessellation.predict) first casts x, 2 p and
+  -||p||^2 to float32; the last is computed in float64, with relative
+  error gamma_d below the float32 u for d < 2^29. A cast errs by at most
+  u |v| + tau; tau covers gradual underflow, and also a BLAS that
+  flushes subnormal numbers to zero. Each of the d + 1 terms of the
+  inner product so carries two more roundings, gamma_{d+3} in all, and
+  the bias one more u. The tau parts of the casts enter multiplied by
+  the other factor, 2 tau sqrt(d) r at most, and by AM-GM
+  2 tau sqrt(d) r <= u r^2 + d tau^2 / u: one more u r^2 and an
+  absolute term far below tau. Each operation of the GEMM that
+  underflows adds at most tau. A float32 screen value is thus within
+  gamma_{d+5} r^2 + (2d + 3) tau of the exact one.
+- The reference, the explicit float64 distance ((p - x)**2).sum(), is
+  within gamma_{d+2} r^2 (plus 3d float64 tau) of the exact distance.
+- When two screen values differ by more than twice the sum of the
+  screen's and the reference's errors, the exact distances differ by
+  more than twice the reference's error. The explicit distances then
+  order the two sites the same way, without a tie.
+
+rounding_bound is 2 (gamma_screen + gamma_{d+2}) r^2 + 64 (d + 2) tau,
+with gamma_screen = gamma_{d+2} in float64 and gamma_{d+5} in float32.
+Its gammas take machine epsilon (2u) for u, which leaves room for the
+rounding of the norms, of the bound and of the gap; the absolute term
+leaves room for the underflow of the norms. Beyond the safe reach an
+intermediate value of the screen, or a gap between two, could
+overflow, so the bound is inf there and such rows always take the
+exact path. The reach is 2^511 in float64, where r^2 stays below a
+quarter of the largest double. It is 2^63 in float32: there |2 p . x|
++ ||p||^2 <= r^2 <= 2^126, so no partial sum and no gap reaches the
+largest float32, about 2^128. A norm that is inf or nan gets inf too.
 """
 
 from __future__ import annotations
@@ -31,8 +58,16 @@ import numpy as np
 # call: on a busy host, each call of a multi-threaded BLAS can wait a
 # scheduler time slice for its worker threads.
 BLOCK_ENTRIES = 1 << 20
-# r^2 stays below a quarter of the largest double for r up to 2**511.
+# The reach r = ||x|| + ||p|| up to which a screen cannot overflow, in
+# float64 and in float32; see the module docstring.
 SAFE_REACH = 2.0**511
+SAFE_REACH_32 = 2.0**63
+# Per screen dtype: machine epsilon, smallest normal number, safe reach.
+_FORMATS = {
+    t: (float(np.finfo(t).eps), float(np.finfo(t).smallest_normal), reach)
+    for t, reach in ((np.float64, SAFE_REACH), (np.float32, SAFE_REACH_32))
+}
+_EPS64 = _FORMATS[np.float64][0]
 
 
 def block_rows(width: int) -> int:
@@ -45,15 +80,24 @@ def sq_norms(A: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", A, A)
 
 
-def rounding_bound(x_norms: np.ndarray, p_max: float, d: int) -> np.ndarray:
-    """Per query, the screen gap above which the screen's order of two
-    sites is the order of their explicit distances; inf where the screen
-    can overflow."""
-    eps = np.finfo(np.float64).eps
-    gamma = (d + 2) * eps / (1.0 - (d + 2) * eps)
+def _gamma(n: int, eps: float) -> float:
+    return n * eps / (1.0 - n * eps)
+
+
+def rounding_bound(x_norms, p_max: float, d: int, screen=np.float64) -> np.ndarray:
+    """Per query norm (an array of them, or one float), the gap between
+    two screen values computed in the screen dtype (np.float64 or
+    np.float32) above which their order is the order of the sites'
+    explicit float64 distances; inf where the screen can overflow or a
+    norm is not finite."""
+    eps, tiny, safe_reach = _FORMATS[screen]
+    explicit = _gamma(d + 2, _EPS64)
+    screened = explicit if screen is np.float64 else _gamma(d + 5, eps)
     reach = x_norms + p_max
-    bound = 4.0 * gamma * reach * reach
-    bound[~(reach <= SAFE_REACH)] = np.inf
+    bound = 2.0 * (screened + explicit) * reach * reach + 64.0 * (d + 2) * tiny
+    if isinstance(reach, float):
+        return bound if reach <= safe_reach else np.inf
+    bound[~(reach <= safe_reach)] = np.inf
     return bound
 
 

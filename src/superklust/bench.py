@@ -95,13 +95,17 @@ def knn_predict(model: KnnModel, X) -> np.ndarray:
     Neighbors are the first n_neighbors training points ordered by
     (exact explicit-difference squared distance, training index); vote
     ties go to the lowest class id. Distances are screened by one GEMM
-    per block of queries, which bounds the distance-matrix memory.
+    per block of queries, which bounds the distance-matrix memory. A
+    non-finite query raises ValueError naming its row, as in predict.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.X.shape[1]:
         raise ValueError(
             f"dimension mismatch: queries must be 2-D with {model.X.shape[1]} features"
         )
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite feature in query row {int(finite.argmin())}")
     nn = k_nearest_sets(X, model.X, model.n_neighbors, np.sqrt(sq_norms(X)))
     offsets = model.y[nn] + np.arange(X.shape[0])[:, None] * model.n_classes
     counts = np.bincount(offsets.ravel(), minlength=X.shape[0] * model.n_classes)

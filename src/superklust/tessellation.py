@@ -10,21 +10,27 @@ and ||x||^2 does not depend on the generator, the nearest-generator rule
 equals an argmax over the linear discriminants w = 2 g, b = -||g||^2.
 That makes the classifier piecewise linear and turns batch inference
 into a single matrix product: the bank stores each form as one column
-[w; b] of a (d+1, G) matrix, so a block of queries with a column of
-ones appended, [x, 1], is scored, biases included, by one GEMM per
-block of rows, followed by a row-wise argmax. The order of generators
-is part of the model: all ties break to the lowest index.
+[w; b] of a (d+1, G) float32 matrix, so a block of queries with a column
+of ones appended, [x, 1], is scored, biases included, by one float32
+GEMM per block of rows, followed by a row-wise argmax. The margin of
+each row's winner over its runner-up is certified against a rounding
+bound (see _nearest); the few rows it cannot certify are re-scored
+exactly, so predictions equal the explicit-difference argmin of the
+float64 distances. The order of generators is part of the model: all
+ties break to the lowest index.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-from dataclasses import dataclass, fields, replace
+import math
+from dataclasses import dataclass, field, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _nearest
 from ._nearest import block_rows, nearest, sq_norms
 from .clustering import KMeansConfig, fit_kmeans
 
@@ -43,7 +49,6 @@ __all__ = [
     "assemble",
     "to_discriminants",
     "predict",
-    "predict_oracle",
     "correct",
     "fit",
     "evaluate",
@@ -124,8 +129,8 @@ class Model(_ArrayEq):
     stored as None.
 
     scaler, when present, maps raw feature rows to the coordinates of
-    points: predict (through the bank), evaluate, predict_oracle and
-    correct take raw rows and apply (x - mean) / scale themselves.
+    points: predict (through the bank), evaluate and correct take raw
+    rows and apply (x - mean) / scale themselves.
     """
 
     points: np.ndarray
@@ -198,15 +203,25 @@ class DiscriminantBank:
     """Linear forms realizing the nearest-generator rule; see the module
     docstring for the identity.
 
-    forms is the (d+1, G) matrix whose column j is generator j's form
-    [w_j; b_j]; weights and biases are views of it, not copies. labels
-    holds each generator's class in model order. scaler is the model's
-    (see Model): predict applies it to each query block.
+    forms is the (d+1, G) float32 matrix whose column j is generator j's
+    form [w_j; b_j], rounded from float64 (a form beyond the float32
+    range saturates at its largest finite value; such a bank certifies
+    no row); weights and biases are views of it, not copies. points is
+    the model's read-only float64 generator matrix itself, which the
+    exact re-scoring uses; p_max, the largest generator norm, is derived
+    from it for the certificate. labels holds each generator's class in
+    model order. scaler is the model's (see Model): predict applies it
+    to each query block.
     """
 
     forms: np.ndarray
     labels: np.ndarray
+    points: np.ndarray
     scaler: ScalerParams | None = None
+    p_max: float = field(init=False)
+
+    def __post_init__(self):
+        self.p_max = float(np.sqrt(sq_norms(self.points).max()))
 
     @property
     def weights(self) -> np.ndarray:
@@ -254,31 +269,16 @@ def assemble(per_class_centers: list[np.ndarray], k: int | None = None) -> Model
     )
 
 
-def to_discriminants(model: Model, dtype=np.float64) -> DiscriminantBank:
-    """Precompute the linear forms for a model; the bank keeps the
-    model's labels and scaler.
-
-    dtype=np.float32 gives a faster bank for inference; predictions then
-    come from 32-bit arithmetic and can differ from the 64-bit bank only
-    on queries within float32 rounding of a cell boundary.
-    """
-    points = model.points.astype(dtype)
-    forms = np.empty((model.d + 1, points.shape[0]), dtype=dtype)
-    forms[:-1] = (2.0 * points).T
-    forms[-1] = -(points * points).sum(axis=1)
-    return DiscriminantBank(forms=forms, labels=model.labels, scaler=model.scaler)
-
-
-def _check_queries(X, d: int) -> np.ndarray:
-    X = np.asarray(X)
-    if X.ndim != 2:
-        raise ValueError("queries must form a 2-D matrix")
-    if X.shape[1] != d:
-        raise ValueError(f"dimension mismatch: queries have {X.shape[1]} features, expected {d}")
-    if not np.isfinite(X).all():
-        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
-        raise ValueError(f"non-finite feature in query row {bad}")
-    return X
+def to_discriminants(model: Model) -> DiscriminantBank:
+    """Precompute the float32 linear forms for a model; the bank keeps
+    the model's points, labels and scaler, not copies."""
+    points = model.points
+    forms = np.empty((model.d + 1, points.shape[0]), dtype=np.float32)
+    with np.errstate(over="ignore"):  # saturated below
+        forms[:-1] = (2.0 * points).T
+        forms[-1] = -sq_norms(points)
+    np.nan_to_num(forms, copy=False)
+    return DiscriminantBank(forms=forms, labels=model.labels, points=points, scaler=model.scaler)
 
 
 def _scaled(model: Model, X: np.ndarray) -> np.ndarray:
@@ -288,54 +288,110 @@ def _scaled(model: Model, X: np.ndarray) -> np.ndarray:
 
 
 def predict(bank: DiscriminantBank, X) -> np.ndarray:
-    """Classify each raw row of X: label of the argmax discriminant, ties
-    to the lowest generator index.
+    """Classify each raw row of X: label of the nearest generator by
+    explicit float64 squared distance, ties to the lowest generator
+    index; equal to the argmax discriminant in exact arithmetic.
 
-    Rows are copied, in blocks, into a query matrix [x, 1] that one GEMM
-    per block scores against bank.forms, biases included; a row-wise
-    argmax follows. No distance loop. A bank with a scaler subtracts its
-    mean from, and divides by its scale, each copied block in place:
-    the same float64 operations as (X - mean) / scale. A call holds one
-    block of scores and its (rows, d+1) query block, both reused by
-    every block and each of at most _nearest.BLOCK_ENTRIES entries.
+    Rows are taken in blocks, as float64 (a bank with a scaler subtracts
+    its mean from, and divides by its scale, a copy of each block in
+    place: the same float64 operations as (X - mean) / scale), and cast
+    into a float32 query matrix [x, 1] that one GEMM per block scores
+    against bank.forms, biases included. A row-wise argmax follows, then
+    a second max with each winner masked gives its runner-up. A row
+    whose margin over the runner-up exceeds _nearest.rounding_bound for
+    a float32 screen is certified: no rounding of the screen or of the
+    explicit distances can change its winner. The rows of a block that
+    are not certified are re-scored exactly by _nearest.nearest in one
+    call. A row that is not finite (after scaling) is never certified;
+    it raises ValueError naming the first such row. A call holds one
+    block of scores and its query blocks, reused by every block and each
+    of at most _nearest.BLOCK_ENTRIES entries.
     """
     forms, scaler = bank.forms, bank.scaler
     d1, G = forms.shape
-    X = _check_queries(X, d1 - 1)
-    n, step = X.shape[0], block_rows(max(G, d1))
-    queries = np.empty((min(n, step), d1), dtype=forms.dtype)
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError("queries must form a 2-D matrix")
+    if X.shape[1] != d1 - 1:
+        raise ValueError(
+            f"dimension mismatch: queries have {X.shape[1]} features, expected {d1 - 1}"
+        )
+    n = X.shape[0]
+    if n == 1:
+        i = _predict_row(bank, _float64_rows(X[0], scaler, np.empty(d1 - 1)))
+        return bank.labels[i : i + 1].copy()
+    step = max(1, min(n, block_rows(max(G, d1))))
+    rows = np.empty((step, d1 - 1))
+    queries = np.empty((step, d1), dtype=np.float32)
     queries[:, -1] = 1.0
-    if n <= step:
-        queries[:, :-1] = X
-        if scaler is not None:
-            queries[:, :-1] -= scaler.mean
-            queries[:, :-1] /= scaler.scale
-        return bank.labels[(queries @ forms).argmax(axis=1)]
-    scores = np.empty((step, G), dtype=forms.dtype)
+    scores = np.empty((step, G), dtype=np.float32)
     best = np.empty(n, dtype=np.intp)
+    # Rows beyond this norm could overflow the float32 screen or the
+    # cast into it; they are screened as zeros, and never certified.
+    x_reach = _nearest.SAFE_REACH_32 - bank.p_max
     for start in range(0, n, step):
         stop = min(start + step, n)
-        q, s = queries[: stop - start], scores[: stop - start]
-        q[:, :-1] = X[start:stop]
-        if scaler is not None:
-            q[:, :-1] -= scaler.mean
-            q[:, :-1] /= scaler.scale
+        q, s, b = queries[: stop - start], scores[: stop - start], best[start:stop]
+        x = _float64_rows(X[start:stop], scaler, rows[: stop - start])
+        x_norms = np.sqrt(sq_norms(x))
+        if x_norms.max() <= x_reach:
+            q[:, :-1] = x
+        else:
+            q[:, :-1] = np.where((x_norms <= x_reach)[:, None], x, 0.0)
         np.matmul(q, forms, out=s)
-        s.argmax(axis=1, out=best[start:stop])
+        s.argmax(axis=1, out=b)
+        cols = np.arange(stop - start)
+        gap = s[cols, b]
+        s[cols, b] = -np.inf
+        gap -= s.max(axis=1)
+        bound = _nearest.rounding_bound(x_norms, bank.p_max, d1 - 1, np.float32)
+        fail = np.flatnonzero(~(gap > bound))
+        if fail.size:
+            b[fail] = _rescore(bank, x[fail], x_norms[fail], start + fail)
     return bank.labels[best]
 
 
-def predict_oracle(model: Model, X) -> np.ndarray:
-    """Reference classifier: per query, explicitly minimize the squared
-    distance over generators with the same tie rule. Exists to validate
-    predict() through an independent code path."""
-    X = _scaled(model, _check_queries(X, model.d))
-    points, labels = model.points, model.labels
-    out = np.empty(X.shape[0], dtype=np.int64)
-    for i, x in enumerate(X):
-        d2 = ((points - x) ** 2).sum(axis=1)
-        out[i] = labels[int(d2.argmin())]
+def _float64_rows(X: np.ndarray, scaler: ScalerParams | None, out: np.ndarray) -> np.ndarray:
+    """Raw rows X as float64 in the coordinates of the generators: X
+    itself when it is float64 and there is no scaler, else out holding
+    them."""
+    if scaler is None and X.dtype == np.float64:
+        return X
+    out[...] = X
+    if scaler is not None:
+        out -= scaler.mean
+        out /= scaler.scale
     return out
+
+
+def _predict_row(bank: DiscriminantBank, x: np.ndarray) -> int:
+    """predict's steps for one float64 row x, on vectors and Python
+    floats: at one row, each array operation of the block path costs
+    about as much as the GEMM itself."""
+    forms, p_max = bank.forms, bank.p_max
+    x_norm = math.sqrt(np.vdot(x, x))  # inf, not a warning, on overflow
+    q = np.zeros(forms.shape[0], dtype=np.float32)
+    q[-1] = 1.0
+    if x_norm <= _nearest.SAFE_REACH_32 - p_max:
+        q[:-1] = x
+    s = q @ forms
+    i = int(s.argmax())
+    gap = s[i]
+    s[i] = -np.inf
+    gap -= s[s.argmax()]  # the runner-up; argmax is the cheaper reduction
+    if gap > _nearest.rounding_bound(x_norm, p_max, x.shape[0], np.float32):
+        return i
+    return int(_rescore(bank, x[None], np.array([x_norm]), [0])[0])
+
+
+def _rescore(bank: DiscriminantBank, X: np.ndarray, x_norms: np.ndarray, rows) -> np.ndarray:
+    """Exact nearest generators of the float64 rows X, whose row numbers
+    in the caller's input are rows; the first non-finite one raises."""
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"non-finite feature in query row {rows[finite.argmin()]}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _nearest.nearest(X, bank.points, x_norms)
 
 
 def correct(model: Model, train: "Dataset") -> Model:

@@ -45,6 +45,30 @@ def random_labeled_model(
     )
 
 
+def predict_oracle(model: Model, X) -> np.ndarray:
+    """Reference classifier: per query, explicitly minimize the squared
+    distance over generators with the same tie rule. Exists to validate
+    predict() through an independent code path."""
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError("queries must form a 2-D matrix")
+    if X.shape[1] != model.d:
+        raise ValueError(
+            f"dimension mismatch: queries have {X.shape[1]} features, expected {model.d}"
+        )
+    if not np.isfinite(X).all():
+        bad = np.flatnonzero(~np.isfinite(X).all(axis=1))[0]
+        raise ValueError(f"non-finite feature in query row {bad}")
+    if model.scaler is not None:
+        X = (X - model.scaler.mean) / model.scaler.scale
+    points, labels = model.points, model.labels
+    out = np.empty(X.shape[0], dtype=np.int64)
+    for i, x in enumerate(X):
+        d2 = ((points - x) ** 2).sum(axis=1)
+        out[i] = labels[int(d2.argmin())]
+    return out
+
+
 # --- acceptance reporting -------------------------------------------------
 # Each acceptance test wraps its body in criterion(); the terminal
 # summary then shows one PASS/FAIL/SKIP line per criterion regardless

@@ -29,7 +29,6 @@ from superklust import (
     make_gaussian_blobs,
     make_moons,
     predict,
-    predict_oracle,
     save_model,
     standardize_apply,
     standardize_fit,
@@ -38,7 +37,7 @@ from superklust import (
 from superklust.bench import knn_fit, knn_predict, time_op
 from superklust.fetch import dataset_present
 
-from conftest import benchmark_data_dir, criterion, random_labeled_model
+from conftest import benchmark_data_dir, criterion, predict_oracle, random_labeled_model
 
 LARGE_OPT_IN = os.environ.get("SUPERKLUST_LARGE") == "1"
 
@@ -57,12 +56,15 @@ def test_criterion_1_pwl_equivalence():
             rng = np.random.default_rng(1000 + d)
             for _ in range(100):
                 model = random_labeled_model(rng, d=d)
-                X = rng.normal(0.0, 3.0, (100, d))
+                # random queries, then queries on the bisector of generator pairs
+                i, j = rng.integers(model.points.shape[0], size=(2, 20))
+                X = np.concatenate([rng.normal(0.0, 3.0, (100, d)),
+                                    (model.points[i] + model.points[j]) / 2])
                 diff = predict(to_discriminants(model), X) != predict_oracle(model, X)
                 mismatches += int(diff.sum())
                 pairs += X.shape[0]
         elapsed = time.perf_counter() - start
-        assert pairs == 3 * 10_000
+        assert pairs == 3 * 12_000
         assert mismatches == 0
         assert elapsed < 10.0
         info["detail"] = f"{pairs} pairs, 0 mismatches, {elapsed:.1f}s"

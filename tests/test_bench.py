@@ -108,6 +108,14 @@ class TestKnn:
         with pytest.raises(ValueError, match="dimension mismatch"):
             knn_predict(model, np.zeros((1, 3)))
 
+    def test_non_finite_query_row_named(self):
+        train = Dataset(X=np.eye(3), y=np.array([0, 1, 1]), n_classes=2)
+        model = knn_fit(train, n_neighbors=1)
+        for X, row in (([[np.nan, 0, 0], [np.inf, 0, 0], [0, 0, 0]], 0),
+                       ([[0, 0, 0], [0, 0, 0], [0, -np.inf, np.nan]], 2)):
+            with pytest.raises(ValueError, match=f"^non-finite feature in query row {row}$"):
+                knn_predict(model, X)
+
 
 class TestSyntheticBenchmarkData:
     @pytest.mark.parametrize(

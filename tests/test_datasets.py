@@ -17,12 +17,11 @@ from superklust import (
     standardize_apply,
     standardize_fit,
     to_discriminants,
-    predict_oracle,
     write_dataset_csv,
     write_grid_csv,
 )
 from superklust.datasets import load_csv_features
-from conftest import random_labeled_model
+from conftest import predict_oracle, random_labeled_model
 
 
 def float_per_cell(text: str, label_column: int, skip: int = 0):

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,16 +9,17 @@ import pytest
 from superklust import (
     Dataset,
     KMeansConfig,
+    Model,
+    ScalerParams,
     fit_kmeans,
     lloyd,
     predict,
-    predict_oracle,
     to_discriminants,
 )
 from superklust import _nearest
 from superklust.bench import knn_fit, knn_predict
 from superklust._nearest import k_nearest_sets, nearest, sq_norms
-from conftest import random_labeled_model
+from conftest import predict_oracle, random_labeled_model
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -36,11 +38,35 @@ def explicit_k_sets(X, P, k):
     return out
 
 
+def check_predict(X, P):
+    """predict, through blocks and single rows, with and without a
+    scaler, against the explicit argmin over a model whose labels are
+    the generator indices. The reference may overflow at huge norms;
+    predict itself must not warn."""
+    X = np.asarray(X)
+    P = np.asarray(P, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = explicit_argmin(X, P)
+    G = P.shape[0]
+    model = Model(points=P, labels=np.arange(G), source_classes=np.arange(G), n_classes=G, k=1)
+    # halving the scaled rows is exact, so they are X again
+    scaler = ScalerParams(mean=np.zeros(P.shape[1]), scale=np.full(P.shape[1], 0.5))
+    for bank, Q in ((to_discriminants(model), X),
+                    (to_discriminants(replace(model, scaler=scaler)), X * 0.5)):
+        np.testing.assert_array_equal(predict(bank, Q), want)
+        got = [predict(bank, Q[i : i + 1]) for i in range(Q.shape[0])]
+        np.testing.assert_array_equal(np.concatenate(got) if got else [], want)
+
+
 def check_nearest(X, P):
+    """nearest against the explicit argmin, then the same sites and
+    queries through predict (see check_predict)."""
     X = np.asarray(X, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
-    got = nearest(X, P, np.sqrt(sq_norms(X)))
-    np.testing.assert_array_equal(got, explicit_argmin(X, P))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = nearest(X, P, np.sqrt(sq_norms(X)))
+        np.testing.assert_array_equal(got, explicit_argmin(X, P))
+    check_predict(X, P)
     return got
 
 
@@ -81,13 +107,35 @@ class TestNearest:
         check_nearest(P + rng.normal(scale=1e-12, size=P.shape), P)
         check_nearest(np.concatenate([P, P[::-1]]), P)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("scale", [1e6, 1e150, 1e153, 1e200])
+    # 1e39 lies beyond the float32 range, 1e200 beyond SAFE_REACH
+    @pytest.mark.parametrize("scale", [1e6, 1e19, 1e39, 1e150, 1e153, 1e200])
     def test_huge_norms(self, scale):
         rng = np.random.default_rng(4)
         P = rng.normal(size=(10, 6)) * scale
         X = np.concatenate([rng.normal(size=(30, 6)) * scale, P, (P[:5] + P[5:]) / 2])
         check_nearest(X, P)
+        # far queries, sites of ordinary norms
+        check_nearest(X, P / scale)
+
+    # float32 underflows below ~1e-38 (subnormal) and ~1e-45 (zero);
+    # 1e-160 underflows the squares in float64 as well
+    @pytest.mark.parametrize("scale", [1e-30, 1e-42, 1e-160])
+    def test_tiny_norms(self, scale):
+        rng = np.random.default_rng(17)
+        P = rng.normal(size=(10, 6)) * scale
+        X = np.concatenate([rng.normal(size=(30, 6)) * scale, P, (P[:5] + P[5:]) / 2])
+        check_nearest(X, P)
+        check_nearest(X, P / scale)
+
+    def test_integer_queries_beyond_int64_squares(self):
+        # squares of entries near 2**34 overflow int64; predict takes the
+        # rows as float64, as the explicit reference does
+        rng = np.random.default_rng(18)
+        P = rng.integers(-(2**34), 2**34, size=(12, 3)).astype(np.float64)
+        X = np.concatenate([rng.integers(-(2**34), 2**34, size=(40, 3)),
+                            P.astype(np.int64), (P[:6] + P[6:]).astype(np.int64) // 2])
+        assert X.dtype == np.int64
+        check_predict(X, P)
 
     def test_huge_offset_small_spread(self):
         # large common offset: distances are tiny against the norms
@@ -99,10 +147,12 @@ class TestNearest:
         rng = np.random.default_rng(6)
         got = check_nearest(rng.normal(size=(7, 3)), rng.normal(size=(1, 3)))
         np.testing.assert_array_equal(got, np.zeros(7))
+        check_nearest(np.empty((0, 3)), rng.normal(size=(1, 3)))
 
     def test_single_query(self):
         rng = np.random.default_rng(7)
         check_nearest(rng.normal(size=(1, 9)), rng.normal(size=(20, 9)))
+        check_nearest(np.empty((0, 9)), rng.normal(size=(20, 9)))
 
     def test_many_blocks(self):
         rng = np.random.default_rng(8)

@@ -24,12 +24,11 @@ from superklust import (
     make_gaussian_blobs,
     make_moons,
     predict,
-    predict_oracle,
     save_model,
     to_discriminants,
 )
 from superklust import _nearest, tessellation
-from conftest import random_labeled_model
+from conftest import predict_oracle, random_labeled_model
 
 
 def multi_pass_correct(model, train, max_passes=100):
@@ -206,18 +205,28 @@ class TestDiscriminants:
         np.testing.assert_array_equal(bank.labels, model.labels)
         assert bank.weights.shape == (len(model.labels), 4)
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_one_copy_of_the_forms(self, dtype):
+    def test_one_copy_of_the_forms(self):
         rng = np.random.default_rng(1)
         model = random_labeled_model(rng, d=4)
-        bank = to_discriminants(model, dtype=dtype)
+        bank = to_discriminants(model)
         G = len(model.labels)
         # weights and biases are views into the G * (d + 1) floats of forms
-        assert bank.forms.shape == (5, G) and bank.forms.dtype == dtype
+        assert bank.forms.shape == (5, G) and bank.forms.dtype == np.float32
         assert bank.forms.flags.owndata
         assert np.shares_memory(bank.weights, bank.forms)
         assert np.shares_memory(bank.biases, bank.forms)
         assert bank.weights.shape == (G, 4) and bank.biases.shape == (G,)
+        # the exact re-scoring reads the model's own points
+        assert bank.points is model.points
+        assert bank.p_max == pytest.approx(np.linalg.norm(model.points, axis=1).max())
+
+    def test_forms_beyond_float32_saturate(self):
+        model = Model(points=[[1e39, 0.0], [0.0, 1.0]], labels=[0, 1], source_classes=[0, 1],
+                      n_classes=2, k=1)
+        bank = to_discriminants(model)
+        big = np.finfo(np.float32).max
+        np.testing.assert_array_equal(bank.weights, [[big, 0.0], [0.0, 2.0]])
+        np.testing.assert_array_equal(bank.biases, [-big, -1.0])
 
 
 class TestPredict:
@@ -240,15 +249,27 @@ class TestPredict:
         queries = np.column_stack([np.zeros(5), np.linspace(-2, 2, 5)])
         np.testing.assert_array_equal(predict(bank, queries), np.ones(5, dtype=np.int64))
         np.testing.assert_array_equal(predict_oracle(model, queries), np.ones(5, dtype=np.int64))
+        for q in queries:
+            np.testing.assert_array_equal(predict(bank, q[None]), [1])
 
     def test_agrees_with_oracle_on_random_instances(self):
+        # random queries, and queries on the bisector of random generator
+        # pairs, against plain and scaled models, in batches and one by one
         rng = np.random.default_rng(2)
         for _ in range(20):
             d = int(rng.integers(1, 8))
             model = random_labeled_model(rng, d=d)
-            X = rng.normal(0.0, 3.0, (100, d))
-            bank = to_discriminants(model)
-            np.testing.assert_array_equal(predict(bank, X), predict_oracle(model, X))
+            G = model.points.shape[0]
+            i, j = rng.integers(G, size=(2, 20))
+            X = np.concatenate([rng.normal(0.0, 3.0, (100, d)),
+                                (model.points[i] + model.points[j]) / 2])
+            scaler = ScalerParams(mean=rng.normal(0.0, 2.0, d), scale=rng.uniform(0.5, 3.0, d))
+            scaled = replace(model, scaler=scaler)
+            for m, Q in ((model, X), (scaled, X * scaler.scale + scaler.mean)):
+                bank = to_discriminants(m)
+                want = predict_oracle(m, Q)
+                np.testing.assert_array_equal(predict(bank, Q), want)
+                np.testing.assert_array_equal(predict(bank, Q[-1:]), want[-1:])
 
     def test_predicted_labels_are_model_labels(self):
         rng = np.random.default_rng(3)
@@ -268,13 +289,23 @@ class TestPredict:
         with pytest.raises(ValueError, match="row 2"):
             predict(bank, X)
 
-    def test_first_non_finite_row_named(self):
-        bank = to_discriminants(two_sided_model())
+    def test_first_non_finite_row_named(self, monkeypatch):
+        # also when the rows before it need the exact search (row 1 is a
+        # tie), when it sits in a later block, with a scaler, and alone
+        model = two_sided_model()
+        scaler = ScalerParams(mean=[1.0, 2.0], scale=[3.0, 0.5])
         X = np.zeros((8, 2))
+        X[1] = model.points.mean(axis=0)
         X[3, 0] = np.inf
         X[5, 1] = np.nan
-        with pytest.raises(ValueError, match="^non-finite feature in query row 3$"):
-            predict(bank, X)
+        for block_entries in (1 << 20, 4):
+            monkeypatch.setattr(_nearest, "BLOCK_ENTRIES", block_entries)
+            for bank in (to_discriminants(model), to_discriminants(replace(model, scaler=scaler))):
+                with pytest.raises(ValueError, match="^non-finite feature in query row 3$"):
+                    predict(bank, X)
+                for row in (X[3:4], X[5:6], [[1e39, np.nan]]):
+                    with pytest.raises(ValueError, match="^non-finite feature in query row 0$"):
+                        predict(bank, row)
 
     @pytest.mark.parametrize("block_entries", [64, 1 << 20], ids=["blocks", "one-block"])
     def test_scaler_applied_like_scaled_rows(self, monkeypatch, block_entries):
@@ -293,29 +324,41 @@ class TestPredict:
         np.testing.assert_array_equal(predict_oracle(replace(model, scaler=scaler), X), want)
         np.testing.assert_array_equal(X, raw)  # the caller's rows are not scaled
 
-    def test_float32_bank(self):
+    @pytest.mark.parametrize("scaled", [False, True], ids=["raw", "scaler"])
+    def test_screen_decides_separated_rows_and_defers_ties(self, monkeypatch, scaled):
+        # the float32 screen certifies every row of well-separated blobs,
+        # and no query on a bisector: those all go to the exact search
         train = make_gaussian_blobs(
             50, centers=[[0.0, 0.0], [40.0, 40.0], [-40.0, 40.0]], sigma=1.0, seed=4
         )
         model = fit(train, KMeansConfig(k=2, seed=0))
-        bank32 = to_discriminants(model, dtype=np.float32)
-        assert bank32.weights.dtype == np.float32
-        assert bank32.biases.dtype == np.float32
-        bank64 = to_discriminants(model)
-        queries = np.random.default_rng(5).normal(0.0, 30.0, (500, 2))
-        np.testing.assert_array_equal(predict(bank32, queries), predict(bank64, queries))
+        # each generator's midpoint with its nearest other generator
+        # lies on a cell boundary
+        P = model.points
+        d2 = ((P[:, None] - P[None]) ** 2).sum(axis=2)
+        np.fill_diagonal(d2, np.inf)
+        rows, mid = train.X, (P + P[d2.argmin(axis=1)]) / 2
+        if scaled:
+            # raw rows that the scaler maps (up to rounding) onto the same points
+            scaler = ScalerParams(mean=[5.0, -3.0], scale=[2.0, 0.5])
+            model = replace(model, scaler=scaler)
+            rows, mid = rows * scaler.scale + scaler.mean, mid * scaler.scale + scaler.mean
+        received = []
+        exact = _nearest.nearest
 
-    def test_float32_bank_matches_separate_bias_pass(self):
-        # the same data as test_float32_bank; the reference scores with a
-        # GEMM of the weights, then adds the biases in a second pass
-        train = make_gaussian_blobs(
-            50, centers=[[0.0, 0.0], [40.0, 40.0], [-40.0, 40.0]], sigma=1.0, seed=4
-        )
-        bank32 = to_discriminants(fit(train, KMeansConfig(k=2, seed=0)), dtype=np.float32)
-        queries = np.random.default_rng(5).normal(0.0, 30.0, (500, 2))
-        scores = queries.astype(np.float32) @ bank32.weights.T
-        scores += bank32.biases
-        np.testing.assert_array_equal(predict(bank32, queries), bank32.labels[scores.argmax(axis=1)])
+        def counting(X, P, x_norms):
+            received.append(X.shape[0])
+            return exact(X, P, x_norms)
+
+        monkeypatch.setattr(_nearest, "nearest", counting)
+        bank = to_discriminants(model)
+        for X in (rows, rows[:1]):
+            np.testing.assert_array_equal(predict(bank, X), predict_oracle(model, X))
+        assert sum(received) == 0
+        for X in (mid, mid[:1]):
+            received.clear()
+            np.testing.assert_array_equal(predict(bank, X), predict_oracle(model, X))
+            assert sum(received) == X.shape[0]
 
 
 class TestCorrect:
