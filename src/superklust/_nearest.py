@@ -115,27 +115,30 @@ def nearest(X: np.ndarray, P: np.ndarray, x_norms: np.ndarray) -> np.ndarray:
     computed in (sites, queries) blocks so that the reductions run over
     contiguous rows.
     """
-    n, G = X.shape[0], P.shape[0]
-    out = np.zeros(n, dtype=np.intp)
-    if G == 1:
+    # Overflow is no fault: a row whose screen could overflow has an inf
+    # bound and takes the exact path, where distances may overflow to inf.
+    with np.errstate(over="ignore", invalid="ignore"):
+        n, G = X.shape[0], P.shape[0]
+        out = np.zeros(n, dtype=np.intp)
+        if G == 1:
+            return out
+        p_sq = sq_norms(P)
+        bound = rounding_bound(x_norms, float(np.sqrt(p_sq.max())), P.shape[1])
+        neg2p = -2.0 * P
+        step = block_rows(G)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            scores = neg2p @ X[start:stop].T
+            scores += p_sq[:, None]
+            cols = np.arange(stop - start)
+            best = scores.argmin(axis=0)
+            first = scores[best, cols]
+            scores[best, cols] = np.inf
+            gap = scores.min(axis=0) - first
+            out[start:stop] = best
+            for i in np.flatnonzero(~(gap > bound[start:stop])) + start:
+                out[i] = exact_sq_dists(X[i], P).argmin()
         return out
-    p_sq = sq_norms(P)
-    bound = rounding_bound(x_norms, float(np.sqrt(p_sq.max())), P.shape[1])
-    neg2p = -2.0 * P
-    step = block_rows(G)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        scores = neg2p @ X[start:stop].T
-        scores += p_sq[:, None]
-        cols = np.arange(stop - start)
-        best = scores.argmin(axis=0)
-        first = scores[best, cols]
-        scores[best, cols] = np.inf
-        gap = scores.min(axis=0) - first
-        out[start:stop] = best
-        for i in np.flatnonzero(~(gap > bound[start:stop])) + start:
-            out[i] = exact_sq_dists(X[i], P).argmin()
-    return out
 
 
 def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int, x_norms: np.ndarray) -> np.ndarray:
@@ -147,24 +150,25 @@ def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int, x_norms: np.ndarray) ->
     the rounding bound of it are the candidates; when there are exactly
     k they are the answer, otherwise they are ordered explicitly.
     """
-    n, G = X.shape[0], P.shape[0]
-    out = np.empty((n, k), dtype=np.intp)
-    p_sq = sq_norms(P)
-    bound = rounding_bound(x_norms, float(np.sqrt(p_sq.max())), P.shape[1])
-    neg2pt = -2.0 * P.T
-    step = block_rows(G)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        scores = X[start:stop] @ neg2pt
-        scores += p_sq
-        kth = np.partition(scores, k - 1, axis=1)[:, k - 1]
-        cand = scores <= (kth + bound[start:stop])[:, None]
-        cand[~np.isfinite(bound[start:stop])] = True
-        counts = cand.sum(axis=1)
-        sure = np.flatnonzero(counts == k)
-        out[start + sure] = np.nonzero(cand[sure])[1].reshape(-1, k)
-        for i in np.flatnonzero(counts != k):
-            sites = np.flatnonzero(cand[i])
-            d2 = exact_sq_dists(X[start + i], P[sites])
-            out[start + i] = sites[np.argsort(d2, kind="stable")[:k]]
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):  # as in nearest
+        n, G = X.shape[0], P.shape[0]
+        out = np.empty((n, k), dtype=np.intp)
+        p_sq = sq_norms(P)
+        bound = rounding_bound(x_norms, float(np.sqrt(p_sq.max())), P.shape[1])
+        neg2pt = -2.0 * P.T
+        step = block_rows(G)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            scores = X[start:stop] @ neg2pt
+            scores += p_sq
+            kth = np.partition(scores, k - 1, axis=1)[:, k - 1]
+            cand = scores <= (kth + bound[start:stop])[:, None]
+            cand[~np.isfinite(bound[start:stop])] = True
+            counts = cand.sum(axis=1)
+            sure = np.flatnonzero(counts == k)
+            out[start + sure] = np.nonzero(cand[sure])[1].reshape(-1, k)
+            for i in np.flatnonzero(counts != k):
+                sites = np.flatnonzero(cand[i])
+                d2 = exact_sq_dists(X[start + i], P[sites])
+                out[start + i] = sites[np.argsort(d2, kind="stable")[:k]]
+        return out

@@ -78,7 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--restarts", type=int, default=4)
     p.add_argument("--max-iter", type=int, default=100)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument(
         "--standardize", action="store_true", help="train-fit standardization, kept in the model"
     )
@@ -172,9 +171,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _below_one(args, *flags: str) -> bool:
+    """Whether one of these integer flags is below 1; the first is reported."""
+    bad = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) < 1]
+    if bad:
+        _err(f"{bad[0]} must be >= 1")
+    return bool(bad)
+
+
 def cmd_fit(args) -> int:
-    if args.k < 1:
-        _err("--k must be >= 1")
+    if _below_one(args, "--k", "--restarts", "--max-iter"):
         return 2
     ds = datasets.load_csv(
         args.data, label_column=_parse_label_col(args.label_col), has_header=args.has_header
@@ -182,11 +188,7 @@ def cmd_fit(args) -> int:
     scaler = datasets.standardize_fit(ds) if args.standardize else None
     train = ds if scaler is None else datasets.standardize_apply(scaler, ds)
     config = KMeansConfig(
-        k=args.k,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        n_restarts=args.restarts,
-        seed=args.seed,
+        k=args.k, max_iter=args.max_iter, n_restarts=args.restarts, seed=args.seed
     )
     model = replace(tessellation.fit(train, config), scaler=scaler)
     Path(args.out).write_bytes(tessellation.save_model(model))
@@ -251,8 +253,7 @@ def cmd_grid(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.repetitions < 1:
-        _err("--repetitions must be >= 1")
+    if _below_one(args, "--k", "--restarts", "--knn-neighbors", "--repetitions"):
         return 2
     if args.warmup < 0:
         _err("--warmup must be >= 0")

@@ -8,7 +8,7 @@ concurrently on different inputs (no shared state).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +29,6 @@ class KMeansConfig:
 
     k: int
     max_iter: int = 100
-    tol: float = 1e-6
     n_restarts: int = 4
     seed: int = 0
 
@@ -40,26 +39,23 @@ class KMeansConfig:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
         if self.n_restarts < 1:
             raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
-        if self.tol < 0:
-            raise ValueError(f"tol must be >= 0, got {self.tol}")
 
 
 @dataclass
 class KMeansResult:
-    """Converged state of one k-means run.
+    """Final state of one k-means run (see lloyd for when it stops).
 
     centers has shape (m, d) with m <= k; assignments[i] is the index of
     the nearest center for sample i (ties to the lowest index); inertia
-    is the sum of squared sample-to-assigned-center distances.
-    inertia_history holds the inertia observed at every assignment step,
-    a non-increasing sequence.
+    is the sum of squared sample-to-assigned-center distances;
+    iterations counts the center updates. When the run stopped at a
+    fixed point, each center is exactly the mean of its samples.
     """
 
     centers: np.ndarray
     assignments: np.ndarray
     inertia: float
     iterations: int
-    inertia_history: list[float] = field(default_factory=list)
 
 
 def _as_matrix(data, name: str) -> np.ndarray:
@@ -77,7 +73,8 @@ def kmeans_pp_init(data, k: int, seed: int) -> np.ndarray:
     The first center is drawn uniformly; each later center is a data row
     drawn with probability proportional to its squared distance to the
     nearest already-chosen center, so already-chosen rows have zero
-    selection weight. Deterministic given seed.
+    selection weight. Deterministic given seed. Raises ValueError when
+    the squared distances overflow float64, as no draw is defined then.
     """
     data = _as_matrix(data, "data")
     if k < 1:
@@ -92,9 +89,10 @@ def kmeans_pp_init(data, k: int, seed: int) -> np.ndarray:
         # rounding bound of zero are recomputed explicitly, so the chosen
         # row and its duplicates get a weight of exactly 0.
         c = data[idx]
-        d2 = x_sq - 2.0 * (data @ c) + x_sq[idx]
-        near = ~(d2 > rounding_bound(x_norms, x_norms[idx], data.shape[1]))
-        d2[near] = exact_sq_dists(c, data[near])
+        with np.errstate(over="ignore", invalid="ignore"):  # the draw checks for inf
+            d2 = x_sq - 2.0 * (data @ c) + x_sq[idx]
+            near = ~(d2 > rounding_bound(x_norms, x_norms[idx], data.shape[1]))
+            d2[near] = exact_sq_dists(c, data[near])
         return d2
 
     n_centers = min(k, n)
@@ -103,6 +101,8 @@ def kmeans_pp_init(data, k: int, seed: int) -> np.ndarray:
     closest = sq_dists_to(chosen[0])
     for i in range(1, n_centers):
         total = closest.sum()
+        if not np.isfinite(total):
+            raise ValueError("k-means++: squared distances between rows overflow float64")
         if total > 0:
             # Inverse-CDF draw; side="right" skips zero-weight rows whose
             # cumulative value ties the one before them.
@@ -117,15 +117,16 @@ def kmeans_pp_init(data, k: int, seed: int) -> np.ndarray:
     return data[chosen].copy()
 
 
-def lloyd(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> KMeansResult:
-    """Run Lloyd iterations from the given centers until convergence.
+def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
+    """Run Lloyd iterations from the given centers to a fixed point.
 
     Each iteration assigns every sample to its nearest center (ties to
     the lowest index), drops centers that received no samples, then
     moves each remaining center to the mean of its samples. Stops when
-    the assignment no longer changes, when the relative inertia decrease
-    falls below tol, or after max_iter update steps. The returned
-    assignments are always consistent with the returned centers.
+    an assignment repeats the one before it, an exact fixed point, or
+    after max_iter update steps. The returned assignments are always
+    those of the returned centers, and the inertia is computed once,
+    for that final state.
     """
     data = _as_matrix(data, "data")
     centers = _as_matrix(init_centers, "init_centers")
@@ -136,24 +137,15 @@ def lloyd(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> KMeansR
         )
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
 
     x_norms = np.sqrt(sq_norms(data))
     prev_assign = None
-    prev_inertia = None
-    history: list[float] = []
     iterations = 0
 
     while True:
         assign = nearest(data, centers, x_norms)
-        inertia = float(np.square(data - centers[assign]).sum())
-        history.append(inertia)
-
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break  # exact fixed point: centers are already the means of assign
-        if prev_inertia is not None and (prev_inertia - inertia) < tol * prev_inertia:
-            break
         if iterations >= max_iter:
             break
 
@@ -174,16 +166,10 @@ def lloyd(data, init_centers, max_iter: int = 100, tol: float = 1e-6) -> KMeansR
             np.add.reduce(grouped[start:stop], axis=0, out=centers[j])
         centers /= counts[:, None]
         prev_assign = assign
-        prev_inertia = inertia
         iterations += 1
 
-    return KMeansResult(
-        centers=centers,
-        assignments=assign,
-        inertia=inertia,
-        iterations=iterations,
-        inertia_history=history,
-    )
+    inertia = float(np.square(data - centers[assign]).sum())
+    return KMeansResult(centers, assign, inertia, iterations)
 
 
 def fit_kmeans(data, config: KMeansConfig) -> KMeansResult:
@@ -196,7 +182,7 @@ def fit_kmeans(data, config: KMeansConfig) -> KMeansResult:
     best = None
     for r in range(config.n_restarts):
         init = kmeans_pp_init(data, config.k, config.seed + r)
-        result = lloyd(data, init, max_iter=config.max_iter, tol=config.tol)
+        result = lloyd(data, init, max_iter=config.max_iter)
         if best is None or result.inertia < best.inertia:
             best = result
     return best

@@ -319,7 +319,7 @@ def standardize_apply(params: ScalerParams, ds: Dataset) -> Dataset:
             f"dimension mismatch: scaler has {params.mean.shape[0]} features, data has {ds.d}"
         )
     return Dataset(
-        X=(ds.X - params.mean) / params.scale,
+        X=params.apply(ds.X),
         y=ds.y,
         n_classes=ds.n_classes,
         name=ds.name,

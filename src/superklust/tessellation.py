@@ -102,6 +102,14 @@ class ScalerParams(_ArrayEq):
         if (self.scale <= 0).any():
             raise ValueError("scale entries must be strictly positive")
 
+    def apply(self, X, out: np.ndarray | None = None) -> np.ndarray:
+        """(X - mean) / scale for raw rows X, as float64, into out when it
+        is given. A finite entry that overflows becomes inf, quietly."""
+        with np.errstate(over="ignore"):
+            out = np.subtract(X, self.mean, out=out)
+            out /= self.scale
+        return out
+
 
 @dataclass(frozen=True, eq=False)
 class Generator:
@@ -281,20 +289,13 @@ def to_discriminants(model: Model) -> DiscriminantBank:
     return DiscriminantBank(forms=forms, labels=model.labels, points=points, scaler=model.scaler)
 
 
-def _scaled(model: Model, X: np.ndarray) -> np.ndarray:
-    """Raw rows X in the coordinates of model.points."""
-    scaler = model.scaler
-    return X if scaler is None else (X - scaler.mean) / scaler.scale
-
-
 def predict(bank: DiscriminantBank, X) -> np.ndarray:
     """Classify each raw row of X: label of the nearest generator by
     explicit float64 squared distance, ties to the lowest generator
     index; equal to the argmax discriminant in exact arithmetic.
 
-    Rows are taken in blocks, as float64 (a bank with a scaler subtracts
-    its mean from, and divides by its scale, a copy of each block in
-    place: the same float64 operations as (X - mean) / scale), and cast
+    Rows are taken in blocks, as float64 (a bank with a scaler applies
+    it to each block: ScalerParams.apply into a reused block), and cast
     into a float32 query matrix [x, 1] that one GEMM per block scores
     against bank.forms, biases included. A row-wise argmax follows, then
     a second max with each winner masked gives its runner-up. A row
@@ -302,10 +303,11 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     a float32 screen is certified: no rounding of the screen or of the
     explicit distances can change its winner. The rows of a block that
     are not certified are re-scored exactly by _nearest.nearest in one
-    call. A row that is not finite (after scaling) is never certified;
-    it raises ValueError naming the first such row. A call holds one
-    block of scores and its query blocks, reused by every block and each
-    of at most _nearest.BLOCK_ENTRIES entries.
+    call. A row that is not finite, or a finite row that overflows when
+    scaled, is never certified; it raises ValueError naming the first
+    such row. A call holds one block of scores and its query blocks,
+    reused by every block and each of at most _nearest.BLOCK_ENTRIES
+    entries.
     """
     forms, scaler = bank.forms, bank.scaler
     d1, G = forms.shape
@@ -318,7 +320,7 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
         )
     n = X.shape[0]
     if n == 1:
-        i = _predict_row(bank, _float64_rows(X[0], scaler, np.empty(d1 - 1)))
+        i = _predict_row(bank, _float64_rows(X[0], scaler, np.empty(d1 - 1)), X)
         return bank.labels[i : i + 1].copy()
     step = max(1, min(n, block_rows(max(G, d1))))
     rows = np.empty((step, d1 - 1))
@@ -347,7 +349,7 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
         bound = _nearest.rounding_bound(x_norms, bank.p_max, d1 - 1, np.float32)
         fail = np.flatnonzero(~(gap > bound))
         if fail.size:
-            b[fail] = _rescore(bank, x[fail], x_norms[fail], start + fail)
+            b[fail] = _rescore(bank, x[fail], x_norms[fail], X, start + fail)
     return bank.labels[best]
 
 
@@ -355,19 +357,18 @@ def _float64_rows(X: np.ndarray, scaler: ScalerParams | None, out: np.ndarray) -
     """Raw rows X as float64 in the coordinates of the generators: X
     itself when it is float64 and there is no scaler, else out holding
     them."""
-    if scaler is None and X.dtype == np.float64:
+    if scaler is not None:
+        return scaler.apply(X, out)
+    if X.dtype == np.float64:
         return X
     out[...] = X
-    if scaler is not None:
-        out -= scaler.mean
-        out /= scaler.scale
     return out
 
 
-def _predict_row(bank: DiscriminantBank, x: np.ndarray) -> int:
-    """predict's steps for one float64 row x, on vectors and Python
-    floats: at one row, each array operation of the block path costs
-    about as much as the GEMM itself."""
+def _predict_row(bank: DiscriminantBank, x: np.ndarray, raw: np.ndarray) -> int:
+    """predict's steps for the float64 row x of the one-row input raw,
+    on vectors and Python floats: at one row, each array operation of
+    the block path costs about as much as the GEMM itself."""
     forms, p_max = bank.forms, bank.p_max
     x_norm = math.sqrt(np.vdot(x, x))  # inf, not a warning, on overflow
     q = np.zeros(forms.shape[0], dtype=np.float32)
@@ -381,17 +382,22 @@ def _predict_row(bank: DiscriminantBank, x: np.ndarray) -> int:
     gap -= s[s.argmax()]  # the runner-up; argmax is the cheaper reduction
     if gap > _nearest.rounding_bound(x_norm, p_max, x.shape[0], np.float32):
         return i
-    return int(_rescore(bank, x[None], np.array([x_norm]), [0])[0])
+    return int(_rescore(bank, x[None], np.array([x_norm]), raw, [0])[0])
 
 
-def _rescore(bank: DiscriminantBank, X: np.ndarray, x_norms: np.ndarray, rows) -> np.ndarray:
-    """Exact nearest generators of the float64 rows X, whose row numbers
-    in the caller's input are rows; the first non-finite one raises."""
-    finite = np.isfinite(X).all(axis=1)
+def _rescore(
+    bank: DiscriminantBank, x: np.ndarray, x_norms: np.ndarray, raw: np.ndarray, rows
+) -> np.ndarray:
+    """Exact nearest generators of the float64 rows x, which are the
+    rows numbered rows of the caller's raw input raw, scaled; the first
+    one that is not finite raises."""
+    finite = np.isfinite(x).all(axis=1)
     if not finite.all():
-        raise ValueError(f"non-finite feature in query row {rows[finite.argmin()]}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _nearest.nearest(X, bank.points, x_norms)
+        i = rows[finite.argmin()]
+        if np.isfinite(raw[i]).all():
+            raise ValueError(f"query row {i} overflows float64 when scaled")
+        raise ValueError(f"non-finite feature in query row {i}")
+    return _nearest.nearest(x, bank.points, x_norms)
 
 
 def correct(model: Model, train: "Dataset") -> Model:
@@ -426,7 +432,7 @@ def correct(model: Model, train: "Dataset") -> Model:
     if y.min() < 0 or y.max() >= model.n_classes:
         raise ValueError(f"training labels must lie in [0, {model.n_classes})")
 
-    X = _scaled(model, train.X)
+    X = train.X if model.scaler is None else model.scaler.apply(train.X)
     labels = model.labels
     G, C = labels.shape[0], model.n_classes
     assign = nearest(X, model.points, np.sqrt(sq_norms(X)))

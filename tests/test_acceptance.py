@@ -24,6 +24,8 @@ from superklust import (
     correct,
     fit,
     fit_kmeans,
+    kmeans_pp_init,
+    lloyd,
     load_benchmark_dataset,
     load_model,
     make_gaussian_blobs,
@@ -84,21 +86,33 @@ def test_criterion_2_lloyd_monotone_fixed_point():
             )
             result = fit_kmeans(data, cfg)
 
-            hist = np.array(result.inertia_history)
-            assert (np.diff(hist) <= 0.0).all()
+            # every restart's inertia after t = 0, 1, ... updates never
+            # rises: t = 0 from the k-means++ centers, t from lloyd(max_iter=t)
+            for r in range(cfg.n_restarts):
+                init = kmeans_pp_init(data, k, cfg.seed + r)
+                d2 = ((data[:, None, :] - init[None, :, :]) ** 2).sum(axis=2)
+                steps = [float(np.square(data - init[d2.argmin(axis=1)]).sum())]
+                run = lloyd(data, init)
+                steps += [lloyd(data, init, max_iter=t).inertia
+                          for t in range(1, run.iterations + 1)]
+                assert (np.diff(steps) <= 0.0).all()
+                assert steps[-1] == run.inertia
 
-            # recompute oracle: assignments nearest (ties lowest index),
-            # centers are member means, inertia matches at rel 1e-9
+            # recompute oracle: a run that stopped before max_iter is an
+            # exact fixed point; assignments nearest (ties lowest index),
+            # centers the member means and inertia the final expression,
+            # bit for bit
+            assert result.iterations < cfg.max_iter
             d2 = ((data[:, None, :] - result.centers[None, :, :]) ** 2).sum(axis=2)
             assert np.array_equal(d2.argmin(axis=1), result.assignments)
-            inertia = 0.0
+            means = []
             for j in range(result.centers.shape[0]):
                 members = data[result.assignments == j]
                 assert members.shape[0] > 0
-                mean = members.mean(axis=0)
-                np.testing.assert_allclose(result.centers[j], mean, rtol=1e-9, atol=1e-9)
-                inertia += float(((members - mean) ** 2).sum())
-            assert result.inertia == pytest.approx(inertia, rel=1e-9, abs=1e-12)
+                means.append(members.mean(axis=0))
+            np.testing.assert_array_equal(result.centers, means)
+            residuals = data - result.centers[result.assignments]
+            assert result.inertia == float(np.square(residuals).sum())
         elapsed = time.perf_counter() - start
         assert elapsed < 30.0
         info["detail"] = f"100 instances, {elapsed:.1f}s"

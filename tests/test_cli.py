@@ -146,13 +146,32 @@ class TestFit:
         assert proc.returncode == 0, proc.stderr
         assert model_path.read_bytes() == save_model(fit(ds, KMeansConfig(k=3, seed=5)))
 
-    def test_bad_k_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (("--k", "0"), "error: --k must be >= 1"),
+            (("--restarts", "0"), "error: --restarts must be >= 1"),
+            (("--max-iter", "0"), "error: --max-iter must be >= 1"),
+            (("--tol", "1e-6"), "superklust: error: unrecognized arguments: --tol 1e-6"),
+        ],
+        ids=["k", "restarts", "max-iter", "tol"],
+    )
+    def test_bad_k_exits_2(self, tmp_path, flags, message):
         data = synth(tmp_path, "moons", "--n", "20")
-        proc = run_cli(
-            "fit", "--data", str(data), "--k", "0", "--out", str(tmp_path / "m.json")
-        )
+        proc = run_cli("fit", "--data", str(data), *flags, "--out", str(tmp_path / "m.json"))
         assert proc.returncode == 2
-        assert "--k must be >= 1" in proc.stderr
+        assert proc.stderr.splitlines()[-1] == message
+        assert not (tmp_path / "m.json").exists()
+
+    def test_overflowing_distances_exit_1(self, tmp_path):
+        # finite rows, but k-means++ cannot weigh distances beyond float64
+        data = tmp_path / "train.csv"
+        data.write_text("1e160,0,a\n0,1,a\n1,1,a\n2,2,b\n3,1,b\n1e160,1,b\n")
+        proc = run_cli("fit", "--data", str(data), "--k", "2", "--out", str(tmp_path / "m.json"))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            "error: k-means++: squared distances between rows overflow float64"
+        ]
 
     def test_standardize_keeps_scaler_in_model(self, tmp_path):
         data = scaled_blobs(tmp_path)
@@ -476,6 +495,15 @@ class TestBench:
     def test_empty_lists_exit_2(self):
         proc = run_cli("bench", "--datasets", "", "--algos", "superklust")
         assert proc.returncode == 2
+
+    @pytest.mark.parametrize("flag", ["--k", "--restarts", "--knn-neighbors"])
+    def test_counts_below_one_exit_2_before_any_cell(self, flag):
+        proc = run_cli(
+            "bench", "--datasets", "blobs", "--repetitions", "1", "--warmup", "0", flag, "0"
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: {flag} must be >= 1"]
 
 
 class TestFetch:

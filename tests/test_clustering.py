@@ -13,18 +13,22 @@ def nearest_assignment(data, centers):
     return out
 
 
-def check_fixed_point(data, result, rel=1e-9):
-    """Recompute assignments and per-cluster means from scratch."""
+def check_fixed_point(data, result, max_iter=100):
+    """Recompute assignments and per-cluster means from scratch: a run
+    that stopped before max_iter returns them bit for bit."""
+    assert result.iterations < max_iter
     assign = nearest_assignment(data, result.centers)
     assert np.array_equal(assign, result.assignments)
-    inertia = 0.0
-    for j in range(result.centers.shape[0]):
-        members = data[assign == j]
-        assert members.shape[0] > 0
-        mean = members.mean(axis=0)
-        np.testing.assert_allclose(result.centers[j], mean, rtol=rel, atol=rel)
-        inertia += float(((members - mean) ** 2).sum())
-    assert result.inertia == pytest.approx(inertia, rel=rel, abs=1e-12)
+    means = np.array([data[assign == j].mean(axis=0) for j in range(result.centers.shape[0])])
+    np.testing.assert_array_equal(result.centers, means)
+    assert result.inertia == float(np.square(data - means[assign]).sum())
+
+
+def inertia_steps(data, init, steps):
+    """Inertia after 0, 1, ..., steps Lloyd updates from init: step 0
+    from init's own nearest assignment, step t from lloyd(max_iter=t)."""
+    first = float(np.square(data - init[nearest_assignment(data, init)]).sum())
+    return np.array([first] + [lloyd(data, init, max_iter=t).inertia for t in range(1, steps + 1)])
 
 
 class TestKMeansPlusPlusInit:
@@ -69,6 +73,15 @@ class TestKMeansPlusPlusInit:
         with pytest.raises(ValueError, match="k must be"):
             kmeans_pp_init(np.array([[1.0]]), k=0, seed=0)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_overflowing_distances(self, seed):
+        # finite rows whose squared distances exceed float64: no weight
+        # can be drawn, whichever row comes first
+        data = np.array([[1e160, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        message = r"^k-means\+\+: squared distances between rows overflow float64$"
+        with pytest.raises(ValueError, match=message):
+            kmeans_pp_init(data, k=2, seed=seed)
+
 
 class TestLloyd:
     def test_separated_colocated_clusters(self):
@@ -90,12 +103,25 @@ class TestLloyd:
         result = lloyd(data, kmeans_pp_init(data, 3, seed=1))
         check_fixed_point(data, result)
 
-    def test_inertia_history_non_increasing(self):
+    def test_inertia_never_rises(self):
         rng = np.random.default_rng(8)
         data = rng.normal(size=(50, 4))
-        result = lloyd(data, kmeans_pp_init(data, 5, seed=2))
-        hist = np.array(result.inertia_history)
-        assert (np.diff(hist) <= 0).all()
+        init = kmeans_pp_init(data, 5, seed=2)
+        result = lloyd(data, init)
+        steps = inertia_steps(data, init, result.iterations + 1)
+        assert (np.diff(steps) <= 0).all()
+        assert steps[-2] == steps[-1] == result.inertia  # the fixed point stays put
+
+    def test_max_iter_stops_early(self):
+        rng = np.random.default_rng(8)
+        data = rng.normal(size=(50, 4))
+        init = kmeans_pp_init(data, 5, seed=2)
+        assert lloyd(data, init).iterations > 2
+        result = lloyd(data, init, max_iter=2)
+        assert result.iterations == 2
+        # the assignments and inertia are those of the returned centers
+        np.testing.assert_array_equal(result.assignments, nearest_assignment(data, result.centers))
+        assert result.inertia == float(np.square(data - result.centers[result.assignments]).sum())
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
@@ -169,10 +195,18 @@ class TestFitKmeans:
             d = int(rng.integers(1, 6))
             k = int(rng.integers(1, 7))
             data = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0)
-            result = fit_kmeans(data, KMeansConfig(k=k, seed=int(rng.integers(1 << 32))))
+            config = KMeansConfig(k=k, seed=int(rng.integers(1 << 32)))
+            result = fit_kmeans(data, config)
             check_fixed_point(data, result)
-            hist = np.array(result.inertia_history)
-            assert (np.diff(hist) <= 0).all()
+            inertias = []
+            for r in range(config.n_restarts):
+                init = kmeans_pp_init(data, k, config.seed + r)
+                run = lloyd(data, init)
+                steps = inertia_steps(data, init, run.iterations)
+                assert (np.diff(steps) <= 0).all()
+                assert steps[-1] == run.inertia
+                inertias.append(run.inertia)
+            assert result.inertia == min(inertias)
 
 
 class TestKMeansConfigValidation:
@@ -182,7 +216,6 @@ class TestKMeansConfigValidation:
             {"k": 0},
             {"k": 1, "max_iter": 0},
             {"k": 1, "n_restarts": 0},
-            {"k": 1, "tol": -1e-9},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -11,6 +11,7 @@ from superklust import (
     KMeansConfig,
     Model,
     ScalerParams,
+    correct,
     fit_kmeans,
     lloyd,
     predict,
@@ -63,8 +64,8 @@ def check_nearest(X, P):
     queries through predict (see check_predict)."""
     X = np.asarray(X, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
+    got = nearest(X, P, np.sqrt(sq_norms(X)))  # must not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        got = nearest(X, P, np.sqrt(sq_norms(X)))
         np.testing.assert_array_equal(got, explicit_argmin(X, P))
     check_predict(X, P)
     return got
@@ -170,13 +171,40 @@ class TestKNearestSets:
         got = k_nearest_sets(X, P, k, np.sqrt(sq_norms(X)))
         assert [sorted(row) for row in got] == explicit_k_sets(X, P, k)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_huge_norms_take_every_site(self):
         rng = np.random.default_rng(10)
         P = rng.normal(size=(30, 4)) * 1e200
         X = rng.normal(size=(10, 4)) * 1e200
-        got = k_nearest_sets(X, P, 3, np.sqrt(sq_norms(X)))
-        assert [sorted(row) for row in got] == explicit_k_sets(X, P, 3)
+        got = k_nearest_sets(X, P, 3, np.sqrt(sq_norms(X)))  # must not warn
+        with np.errstate(over="ignore"):
+            want = explicit_k_sets(X, P, 3)
+        assert [sorted(row) for row in got] == want
+
+
+class TestRowsBeyondReach:
+    """Finite rows whose explicit distances overflow float64 to inf: the
+    searches behind knn_predict and correct do not warn, and answer like
+    the explicit-difference reference, ties to the lowest index."""
+
+    def test_knn_predict(self):
+        train = Dataset(X=np.eye(3), y=np.array([2, 0, 1]), n_classes=3)
+        X = np.array([[1e200, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        with np.errstate(over="ignore"):
+            want = train.y[explicit_argmin(X, train.X)]
+        np.testing.assert_array_equal(want, [2, 1])
+        np.testing.assert_array_equal(knn_predict(knn_fit(train, 1), X), want)
+
+    def test_correct(self):
+        model = Model(points=[[0.0, 0.0], [10.0, 10.0], [0.0, 2.0]], labels=[0, 1, 1],
+                      source_classes=[0, 1, 1], n_classes=2, k=2)
+        train = Dataset(X=np.array([[1e200, 0.0], [0.0, 1.5], [9.0, 9.0]]),
+                        y=np.array([1, 0, 1]), n_classes=2)
+        with np.errstate(over="ignore"):
+            np.testing.assert_array_equal(explicit_argmin(train.X, model.points), [0, 2, 1])
+        # the overflowing row 0 lands in cell 0 and relabels it to its class
+        got = correct(model, train)
+        np.testing.assert_array_equal(got.points, model.points)
+        np.testing.assert_array_equal(got.labels, [1, 1, 0])
 
 
 class TestSmallBlocks:

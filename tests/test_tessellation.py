@@ -36,7 +36,7 @@ def multi_pass_correct(model, train, max_passes=100):
     one changes nothing, or max_passes. correct() makes one pass and
     must return the same model, correction_iterations included."""
     y = np.asarray(train.y)
-    X = tessellation._scaled(model, train.X)
+    X = train.X if model.scaler is None else model.scaler.apply(train.X)
     points, labels, sources = model.points, model.labels, model.source_classes
     x_norms = np.sqrt(_nearest.sq_norms(X))
     passes = 0
@@ -306,6 +306,22 @@ class TestPredict:
                 for row in (X[3:4], X[5:6], [[1e39, np.nan]]):
                     with pytest.raises(ValueError, match="^non-finite feature in query row 0$"):
                         predict(bank, row)
+
+    def test_row_overflowing_in_scaling_named(self, monkeypatch):
+        # a finite raw row that the scaler takes beyond float64 gets its own
+        # message, alone, in a block and after an earlier block
+        scaler = ScalerParams(mean=[0.0, 0.0], scale=[1e-300, 1.0])
+        bank = to_discriminants(replace(two_sided_model(), scaler=scaler))
+        X = np.array([[0.0, 0.0], [1e-299, 5.0], [1e10, 0.0], [np.inf, 0.0]])
+        for block_entries in (1 << 20, 4):
+            monkeypatch.setattr(_nearest, "BLOCK_ENTRIES", block_entries)
+            with pytest.raises(ValueError, match="^query row 2 overflows float64 when scaled$"):
+                predict(bank, X)
+            with pytest.raises(ValueError, match="^query row 0 overflows float64 when scaled$"):
+                predict(bank, X[2:3])
+            with pytest.raises(ValueError, match="^non-finite feature in query row 0$"):
+                predict(bank, X[3:])
+            np.testing.assert_array_equal(predict(bank, X[:2]), [0, 1])
 
     @pytest.mark.parametrize("block_entries", [64, 1 << 20], ids=["blocks", "one-block"])
     def test_scaler_applied_like_scaled_rows(self, monkeypatch, block_entries):
