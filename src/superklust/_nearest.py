@@ -107,37 +107,63 @@ def exact_sq_dists(x: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.square(P - x).sum(axis=1)
 
 
+def screen(P: np.ndarray, X: np.ndarray, p_sq: np.ndarray) -> np.ndarray:
+    """(sites, queries) screen values ||p||^2 - 2 p . x, by one GEMM."""
+    scores = -2.0 * P @ X.T
+    return np.add(scores, p_sq[:, None], out=scores)
+
+
+def select(scores: np.ndarray, bound: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Exact nearest row of P per row of X, from their float64 screen
+    scores (left as they were) and a rounding bound per query; queries
+    whose winner leads by no more than the bound go to nearest_among with
+    the sites within the bound of it. Runs under nearest's np.errstate."""
+    cols = np.arange(scores.shape[1])
+    best = scores.argmin(axis=0)
+    first = scores[best, cols]
+    scores[best, cols] = np.inf
+    gap = scores.min(axis=0) - first
+    scores[best, cols] = first
+    fail = np.flatnonzero(~(gap > bound))
+    if fail.size:
+        cand = ~(scores[:, fail] > first[fail] + bound[fail]).T  # all, where bound is inf
+        best[fail] = nearest_among(X[fail], P, cand)[:, 0]
+    return best
+
+
+def nearest_among(X: np.ndarray, P: np.ndarray, cand: np.ndarray, k: int = 1) -> np.ndarray:
+    """Per row of X, its k nearest rows of P by (exact_sq_dists, index)
+    among those its row of the boolean (queries, sites) cand marks."""
+    with np.errstate(over="ignore"):  # explicit distances may overflow to inf
+        rows, sites = np.nonzero(cand)
+        d2 = np.empty(rows.size)
+        step = block_rows(P.shape[1])
+        for start in range(0, rows.size, step):
+            part = slice(start, start + step)
+            d2[part] = np.square(P[sites[part]] - X[rows[part]]).sum(axis=1)
+    first = np.searchsorted(rows, np.arange(X.shape[0]))
+    # by row, then distance; the stable sort keeps tied sites in index order
+    return sites[np.lexsort((d2, rows))[first[:, None] + np.arange(k)]]
+
+
 def nearest(X: np.ndarray, P: np.ndarray, x_norms: np.ndarray) -> np.ndarray:
     """Index of the nearest row of P for each row of X, ties to the
     lowest index; equal to the argmin of exact_sq_dists per row.
 
     x_norms holds the Euclidean norms of the rows of X. Scores are
     computed in (sites, queries) blocks so that the reductions run over
-    contiguous rows.
+    contiguous rows; select decides each block.
     """
     # Overflow is no fault: a row whose screen could overflow has an inf
     # bound and takes the exact path, where distances may overflow to inf.
     with np.errstate(over="ignore", invalid="ignore"):
-        n, G = X.shape[0], P.shape[0]
-        out = np.zeros(n, dtype=np.intp)
-        if G == 1:
-            return out
+        out = np.empty(X.shape[0], dtype=np.intp)
         p_sq = sq_norms(P)
         bound = rounding_bound(x_norms, float(np.sqrt(p_sq.max())), P.shape[1])
-        neg2p = -2.0 * P
-        step = block_rows(G)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            scores = neg2p @ X[start:stop].T
-            scores += p_sq[:, None]
-            cols = np.arange(stop - start)
-            best = scores.argmin(axis=0)
-            first = scores[best, cols]
-            scores[best, cols] = np.inf
-            gap = scores.min(axis=0) - first
-            out[start:stop] = best
-            for i in np.flatnonzero(~(gap > bound[start:stop])) + start:
-                out[i] = exact_sq_dists(X[i], P).argmin()
+        step = block_rows(P.shape[0])
+        for start in range(0, X.shape[0], step):
+            rows = slice(start, start + step)
+            out[rows] = select(screen(P, X[rows], p_sq), bound[rows], X[rows], P)
         return out
 
 
@@ -167,8 +193,6 @@ def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int, x_norms: np.ndarray) ->
             counts = cand.sum(axis=1)
             sure = np.flatnonzero(counts == k)
             out[start + sure] = np.nonzero(cand[sure])[1].reshape(-1, k)
-            for i in np.flatnonzero(counts != k):
-                sites = np.flatnonzero(cand[i])
-                d2 = exact_sq_dists(X[start + i], P[sites])
-                out[start + i] = sites[np.argsort(d2, kind="stable")[:k]]
+            rest = start + np.flatnonzero(counts != k)
+            out[rest] = nearest_among(X[rest], P, cand[rest - start], k)
         return out

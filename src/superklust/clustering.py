@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._nearest import exact_sq_dists, nearest, rounding_bound, sq_norms
+from ._nearest import exact_sq_dists, rounding_bound, screen, select, sq_norms
 
 __all__ = ["KMeansConfig", "KMeansResult", "kmeans_pp_init", "lloyd", "fit_kmeans"]
 
@@ -67,54 +67,58 @@ def _as_matrix(data, name: str) -> np.ndarray:
     return data
 
 
-def kmeans_pp_init(data, k: int, seed: int) -> np.ndarray:
+def kmeans_pp_init(data, k: int, seed) -> np.ndarray | list[np.ndarray]:
     """Pick min(k, n) initial centers from the rows of data via k-means++.
 
     The first center is drawn uniformly; each later center is a data row
     drawn with probability proportional to its squared distance to the
     nearest already-chosen center, so already-chosen rows have zero
-    selection weight. Deterministic given seed. Raises ValueError when
-    the squared distances overflow float64, as no draw is defined then.
+    selection weight. Deterministic given seed. Given a sequence of R
+    seeds, returns one matrix per seed, drawn together: one (n x d) .
+    (d x R) GEMM per step, and each draw keeps its own random stream,
+    rounding bound, exact recompute near zero and inverse-CDF draw. The
+    GEMM's weights can differ from a lone seed's GEMV in their last
+    bits, which changes a draw only if its target lies that close to an
+    interval's edge. Raises ValueError when the squared distances
+    overflow float64, as no draw is defined then.
     """
     data = _as_matrix(data, "data")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = data.shape[0]
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(s) for s in ([seed] if np.ndim(seed) == 0 else seed)]
     x_sq = sq_norms(data)
     x_norms = np.sqrt(x_sq)
 
-    def sq_dists_to(idx: int) -> np.ndarray:
-        # The identity ||x||^2 - 2 x.c + ||c||^2; rows it puts within the
-        # rounding bound of zero are recomputed explicitly, so the chosen
-        # row and its duplicates get a weight of exactly 0.
-        c = data[idx]
+    def sq_dists_to(idx: np.ndarray) -> np.ndarray:
+        # ||x||^2 - 2 x.c + ||c||^2, one row per draw; values within the rounding
+        # bound of 0 are recomputed, so the chosen row and its duplicates weigh 0.
         with np.errstate(over="ignore", invalid="ignore"):  # the draw checks for inf
-            d2 = x_sq - 2.0 * (data @ c) + x_sq[idx]
-            near = ~(d2 > rounding_bound(x_norms, x_norms[idx], data.shape[1]))
-            d2[near] = exact_sq_dists(c, data[near])
+            d2 = x_sq - 2.0 * np.ascontiguousarray((data @ data[idx].T).T) + x_sq[idx, None]
+            for r, i in enumerate(idx):
+                near = ~(d2[r] > rounding_bound(x_norms, x_norms[i], data.shape[1]))
+                d2[r, near] = exact_sq_dists(data[i], data[near])
         return d2
 
-    n_centers = min(k, n)
-    chosen = np.empty(n_centers, dtype=np.intp)
-    chosen[0] = rng.integers(n)
-    closest = sq_dists_to(chosen[0])
-    for i in range(1, n_centers):
-        total = closest.sum()
-        if not np.isfinite(total):
-            raise ValueError("k-means++: squared distances between rows overflow float64")
-        if total > 0:
-            # Inverse-CDF draw; side="right" skips zero-weight rows whose
-            # cumulative value ties the one before them.
-            cum = np.cumsum(closest)
-            idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
-        else:
-            # Every remaining row coincides with a chosen center; any row
-            # will do, duplicates get dropped as empty clusters in lloyd().
-            idx = int(rng.integers(n))
-        chosen[i] = idx
-        np.minimum(closest, sq_dists_to(idx), out=closest)
-    return data[chosen].copy()
+    chosen = np.empty((len(rngs), min(k, n)), dtype=np.intp)
+    chosen[:, 0] = [rng.integers(n) for rng in rngs]
+    closest = sq_dists_to(chosen[:, 0])
+    for i in range(1, chosen.shape[1]):
+        for r, rng in enumerate(rngs):
+            total = closest[r].sum()
+            if not np.isfinite(total):
+                raise ValueError("k-means++: squared distances between rows overflow float64")
+            if total > 0:
+                # Inverse-CDF draw; side="right" skips zero-weight rows whose
+                # cumulative value ties the one before them.
+                cum = np.cumsum(closest[r])
+                chosen[r, i] = np.searchsorted(cum, rng.random() * total, side="right")
+            else:
+                # Every remaining row coincides with a chosen center; any row
+                # will do, duplicates get dropped as empty clusters in lloyd().
+                chosen[r, i] = rng.integers(n)
+        np.minimum(closest, sq_dists_to(chosen[:, i]), out=closest)
+    return data[chosen[0]] if np.ndim(seed) == 0 else [data[c] for c in chosen]
 
 
 def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
@@ -127,9 +131,16 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
     after max_iter update steps. The returned assignments are always
     those of the returned centers, and the inertia is computed once,
     for that final state.
+
+    Each step is incremental and exact. The (centers, samples) float64
+    screen of _nearest.select, 8 bytes per center and sample, is kept
+    across steps. Only a cluster that a sample left or joined gets a new
+    mean and new screen rows: the others would sum the same rows in the
+    same order, so their centers stay bit for bit. select certifies each
+    assignment, so it is the one a full recompute gives.
     """
     data = _as_matrix(data, "data")
-    centers = _as_matrix(init_centers, "init_centers")
+    centers = _as_matrix(init_centers, "init_centers").copy()  # updated in place
     if centers.shape[1] != data.shape[1]:
         raise ValueError(
             f"dimension mismatch: data has {data.shape[1]} features, "
@@ -139,34 +150,32 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     x_norms = np.sqrt(sq_norms(data))
-    prev_assign = None
+    prev_assign = np.full(data.shape[0], -1)  # before the first step, no sample has a cluster
     iterations = 0
-
-    while True:
-        assign = nearest(data, centers, x_norms)
-        if prev_assign is not None and np.array_equal(assign, prev_assign):
-            break  # exact fixed point: centers are already the means of assign
-        if iterations >= max_iter:
-            break
-
-        counts = np.bincount(assign, minlength=centers.shape[0])
-        if (counts == 0).any():
-            keep = np.flatnonzero(counts)
-            remap = np.empty(counts.size, dtype=np.intp)
-            remap[keep] = np.arange(keep.size)
-            assign = remap[assign]
-            counts = counts[keep]
-
-        # Each cluster's rows, in data order, summed as mean(axis=0) sums
-        # them; np.add.reduceat would use a different order.
-        grouped = data[np.argsort(assign, kind="stable")]
-        ends = np.cumsum(counts)
-        centers = np.empty((counts.size, data.shape[1]))
-        for j, (start, stop) in enumerate(zip(ends - counts, ends)):
-            np.add.reduce(grouped[start:stop], axis=0, out=centers[j])
-        centers /= counts[:, None]
-        prev_assign = assign
-        iterations += 1
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _nearest.nearest
+        p_sq = sq_norms(centers)
+        scores = screen(centers, data, p_sq)
+        while True:
+            bound = rounding_bound(x_norms, float(np.sqrt(p_sq.max())), data.shape[1])
+            assign = select(scores, bound, data, centers)
+            if np.array_equal(assign, prev_assign) or iterations >= max_iter:
+                break  # a repeat is an exact fixed point: centers are its means
+            # The clusters a sample left or joined; a spare last slot takes the -1s.
+            moved = assign != prev_assign
+            touched = np.zeros(centers.shape[0] + 1, dtype=bool)
+            touched[assign[moved]] = touched[prev_assign[moved]] = True
+            keep = np.bincount(assign, minlength=centers.shape[0]) > 0
+            if not keep.all():
+                assign = (np.cumsum(keep) - 1)[assign]
+                centers, p_sq, scores = centers[keep], p_sq[keep], scores[keep]
+            touched = touched[:-1][keep]
+            for j in np.flatnonzero(touched):  # rows in data order, summed as mean() does
+                rows = data[assign == j]
+                centers[j] = np.add.reduce(rows, axis=0) / rows.shape[0]
+            p_sq[touched] = sq_norms(centers[touched])
+            scores[touched] = screen(centers[touched], data, p_sq[touched])
+            prev_assign = assign
+            iterations += 1
 
     inertia = float(np.square(data - centers[assign]).sum())
     return KMeansResult(centers, assign, inertia, iterations)
@@ -175,13 +184,12 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
 def fit_kmeans(data, config: KMeansConfig) -> KMeansResult:
     """Cluster data with n_restarts independent runs; keep the best inertia.
 
-    Restart r seeds its k-means++ draw with config.seed + r. Ties go to
-    the earliest restart, so the result is deterministic given (data,
-    config).
+    Restart r seeds its k-means++ draw with config.seed + r; the draws of
+    all restarts are made together. Ties go to the earliest restart, so
+    the result is deterministic given (data, config).
     """
     best = None
-    for r in range(config.n_restarts):
-        init = kmeans_pp_init(data, config.k, config.seed + r)
+    for init in kmeans_pp_init(data, config.k, range(config.seed, config.seed + config.n_restarts)):
         result = lloyd(data, init, max_iter=config.max_iter)
         if best is None or result.inertia < best.inertia:
             best = result

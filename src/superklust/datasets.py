@@ -307,9 +307,11 @@ def load_svmlight(path, n_features: int, label_map: dict[str, int] | None = None
 
 def standardize_fit(train: Dataset) -> ScalerParams:
     """Per-feature mean and standard deviation of the training data;
-    zero-variance features get scale 1 (centered only)."""
-    mean = train.X.mean(axis=0)
-    std = train.X.std(axis=0)
+    zero-variance features get scale 1 (centered only); overflow raises."""
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean, std = train.X.mean(axis=0), train.X.std(axis=0)
+    if not (finite := np.isfinite(std)).all():
+        raise ValueError(f"feature column {finite.argmin()}: standard deviation overflows float64")
     return ScalerParams(mean=mean, scale=np.where(std > 0, std, 1.0))
 
 

@@ -301,13 +301,13 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     a second max with each winner masked gives its runner-up. A row
     whose margin over the runner-up exceeds _nearest.rounding_bound for
     a float32 screen is certified: no rounding of the screen or of the
-    explicit distances can change its winner. The rows of a block that
-    are not certified are re-scored exactly by _nearest.nearest in one
-    call. A row that is not finite, or a finite row that overflows when
-    scaled, is never certified; it raises ValueError naming the first
-    such row. A call holds one block of scores and its query blocks,
-    reused by every block and each of at most _nearest.BLOCK_ENTRIES
-    entries.
+    explicit distances can change its winner. Each other row is re-scored
+    exactly by _nearest.nearest_among, against only the generators whose
+    score lies within the bound of its top one. A row that is not finite,
+    or a finite row that overflows when scaled, is never certified; it
+    raises ValueError naming the first such row. A call holds one block
+    of scores and its query blocks, reused by every block and each of at
+    most _nearest.BLOCK_ENTRIES entries.
     """
     forms, scaler = bank.forms, bank.scaler
     d1, G = forms.shape
@@ -343,13 +343,14 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
         np.matmul(q, forms, out=s)
         s.argmax(axis=1, out=b)
         cols = np.arange(stop - start)
-        gap = s[cols, b]
+        top = s[cols, b]
         s[cols, b] = -np.inf
-        gap -= s.max(axis=1)
+        gap = top - s.max(axis=1)
         bound = _nearest.rounding_bound(x_norms, bank.p_max, d1 - 1, np.float32)
         fail = np.flatnonzero(~(gap > bound))
         if fail.size:
-            b[fail] = _rescore(bank, x[fail], x_norms[fail], X, start + fail)
+            s[fail, b[fail]] = top[fail]
+            b[fail] = _rescore(bank, x[fail], s[fail], bound[fail], X, start + fail)
     return bank.labels[best]
 
 
@@ -377,27 +378,30 @@ def _predict_row(bank: DiscriminantBank, x: np.ndarray, raw: np.ndarray) -> int:
         q[:-1] = x
     s = q @ forms
     i = int(s.argmax())
-    gap = s[i]
+    top = s[i]
     s[i] = -np.inf
-    gap -= s[s.argmax()]  # the runner-up; argmax is the cheaper reduction
-    if gap > _nearest.rounding_bound(x_norm, p_max, x.shape[0], np.float32):
+    gap = top - s[s.argmax()]  # the runner-up; argmax is the cheaper reduction
+    bound = _nearest.rounding_bound(x_norm, p_max, x.shape[0], np.float32)
+    if gap > bound:
         return i
-    return int(_rescore(bank, x[None], np.array([x_norm]), raw, [0])[0])
+    s[i] = top
+    return int(_rescore(bank, x[None], s[None], np.array([bound]), raw, [0])[0])
 
 
 def _rescore(
-    bank: DiscriminantBank, x: np.ndarray, x_norms: np.ndarray, raw: np.ndarray, rows
+    bank: DiscriminantBank, x: np.ndarray, s: np.ndarray, bound: np.ndarray, raw: np.ndarray, rows
 ) -> np.ndarray:
-    """Exact nearest generators of the float64 rows x, which are the
-    rows numbered rows of the caller's raw input raw, scaled; the first
-    one that is not finite raises."""
+    """Exact nearest generators of the float64 rows x (the rows numbered
+    rows of the raw input raw, scaled) among those whose float32 score s
+    lies within bound of the top one; the first row not finite raises."""
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         i = rows[finite.argmin()]
         if np.isfinite(raw[i]).all():
             raise ValueError(f"query row {i} overflows float64 when scaled")
         raise ValueError(f"non-finite feature in query row {i}")
-    return _nearest.nearest(x, bank.points, x_norms)
+    cand = ~(s < (s.max(axis=1) - bound)[:, None])  # all, where bound is inf
+    return _nearest.nearest_among(x, bank.points, cand)[:, 0]
 
 
 def correct(model: Model, train: "Dataset") -> Model:
@@ -418,8 +422,8 @@ def correct(model: Model, train: "Dataset") -> Model:
     keep every majority label and find no empty cell. So
     correction_iterations grows by the passes the rule takes to reach a
     pass that changes nothing: 1 if nothing is relabeled or dropped,
-    else 2. The training rows are raw rows (see Model.scaler);
-    label_names and scaler carry over.
+    else 2. Training rows are raw (see Model.scaler), and one that
+    overflows when scaled raises; label_names and scaler carry over.
     """
     if train.X.shape[0] == 0:
         raise ValueError("training set must not be empty")
@@ -433,6 +437,8 @@ def correct(model: Model, train: "Dataset") -> Model:
         raise ValueError(f"training labels must lie in [0, {model.n_classes})")
 
     X = train.X if model.scaler is None else model.scaler.apply(train.X)
+    if model.scaler is not None and not (finite := np.isfinite(X).all(axis=1)).all():
+        raise ValueError(f"training row {finite.argmin()} overflows float64 when scaled")
     labels = model.labels
     G, C = labels.shape[0], model.n_classes
     assign = nearest(X, model.points, np.sqrt(sq_norms(X)))

@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from superklust import Model
+from superklust import KMeansConfig, KMeansResult, Model
+from superklust._nearest import rounding_bound
 
 
 def benchmark_data_dir() -> Path:
@@ -67,6 +68,66 @@ def predict_oracle(model: Model, X) -> np.ndarray:
         d2 = ((points - x) ** 2).sum(axis=1)
         out[i] = labels[int(d2.argmin())]
     return out
+
+
+def kmeans_pp_oracle(data: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k-means++ as kmeans_pp_init draws it for one seed, with one GEMV
+    per chosen center: same random stream, rounding bound and exact
+    recompute of the weights near zero."""
+    n = data.shape[0]
+    rng = np.random.default_rng(seed)
+    x_sq = np.einsum("ij,ij->i", data, data)
+    x_norms = np.sqrt(x_sq)
+
+    def sq_dists_to(idx):
+        c = data[idx]
+        d2 = x_sq - 2.0 * (data @ c) + x_sq[idx]
+        near = ~(d2 > rounding_bound(x_norms, x_norms[idx], data.shape[1]))
+        d2[near] = np.square(data[near] - c).sum(axis=1)
+        return d2
+
+    chosen = [int(rng.integers(n))]
+    closest = sq_dists_to(chosen[0])
+    for _ in range(1, min(k, n)):
+        total = closest.sum()
+        if total > 0:
+            idx = int(np.searchsorted(np.cumsum(closest), rng.random() * total, side="right"))
+        else:
+            idx = int(rng.integers(n))
+        chosen.append(idx)
+        np.minimum(closest, sq_dists_to(idx), out=closest)
+    return data[chosen]
+
+
+def lloyd_oracle(data: np.ndarray, centers: np.ndarray, max_iter: int) -> KMeansResult:
+    """Lloyd with a full recompute every step: every explicit distance,
+    then every center as the mean of its rows; empty clusters dropped."""
+    prev, iterations = None, 0
+    while True:
+        d2 = np.stack([np.square(data - c).sum(axis=1) for c in centers], axis=1)
+        assign = d2.argmin(axis=1)
+        if (prev is not None and np.array_equal(assign, prev)) or iterations >= max_iter:
+            break
+        keep = np.unique(assign)
+        assign = np.searchsorted(keep, assign)
+        centers = np.array([data[assign == j].mean(axis=0) for j in range(keep.size)])
+        prev, iterations = assign, iterations + 1
+    inertia = float(np.square(data - centers[assign]).sum())
+    return KMeansResult(centers, assign, inertia, iterations)
+
+
+def kmeans_oracle(data, config: KMeansConfig) -> KMeansResult:
+    """fit_kmeans as a plain loop over restarts: restart r runs
+    lloyd_oracle from kmeans_pp_oracle(seed + r); the earliest lowest
+    inertia wins."""
+    data = np.asarray(data, dtype=np.float64)
+    best = None
+    for r in range(config.n_restarts):
+        init = kmeans_pp_oracle(data, config.k, config.seed + r)
+        result = lloyd_oracle(data, init, config.max_iter)
+        if best is None or result.inertia < best.inertia:
+            best = result
+    return best
 
 
 # --- acceptance reporting -------------------------------------------------

@@ -173,6 +173,23 @@ class TestFit:
             "error: k-means++: squared distances between rows overflow float64"
         ]
 
+    def test_standardize_overflowing_spread_exit_1(self, tmp_path):
+        # the same rows: their first column's spread overflows float64
+        data = tmp_path / "train.csv"
+        data.write_text("1e160,0,a\n0,1,a\n1,1,a\n2,2,b\n3,1,b\n1e160,1,b\n")
+        out = tmp_path / "m.json"
+        for flags in ((), ("-W", "error")):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "superklust", "fit", "--data", str(data),
+                 "--k", "2", "--standardize", "--out", str(out)],
+                capture_output=True, text=True,
+            )
+            assert proc.returncode == 1
+            assert proc.stderr.splitlines() == [
+                "error: feature column 0: standard deviation overflows float64"
+            ]
+            assert not out.exists()
+
     def test_standardize_keeps_scaler_in_model(self, tmp_path):
         data = scaled_blobs(tmp_path)
         model_path = tmp_path / "model.json"

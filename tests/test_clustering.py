@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from superklust import KMeansConfig, fit_kmeans, kmeans_pp_init, lloyd
+from conftest import kmeans_oracle, kmeans_pp_oracle, lloyd_oracle
 
 
 def nearest_assignment(data, centers):
@@ -207,6 +208,77 @@ class TestFitKmeans:
                 assert steps[-1] == run.inertia
                 inertias.append(run.inertia)
             assert result.inertia == min(inertias)
+
+
+def assert_same_run(got, want):
+    np.testing.assert_array_equal(got.centers, want.centers)
+    np.testing.assert_array_equal(got.assignments, want.assignments)
+    assert got.inertia == want.inertia
+    assert got.iterations == want.iterations
+
+
+def random_instance(rng):
+    """Rows in dimension 1, 2, 16 or 617: on a coarse grid (with ties
+    and duplicates) or Gaussian, sometimes resampled into duplicates."""
+    d = int(rng.choice([1, 2, 16, 617]))
+    n = int(rng.integers(1, 40 if d == 617 else 150))
+    data = rng.normal(size=(n, d)) * rng.uniform(0.5, 3.0)
+    if rng.random() < 0.5:
+        data = np.round(data)
+    if rng.random() < 0.3:
+        data = data[rng.integers(n, size=n)]
+    return data
+
+
+class TestAgainstOracle:
+    """The incremental Lloyd and the k-means++ draws made together equal
+    the full-recompute, one-seed-at-a-time algorithm bit for bit."""
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            data = random_instance(rng)
+            config = KMeansConfig(
+                k=int(rng.integers(1, min(2 * data.shape[0] + 2, 25))),  # k > n too
+                max_iter=int(rng.choice([1, 2, 100])),
+                n_restarts=int(rng.integers(1, 5)),
+                seed=int(rng.integers(1 << 32)),
+            )
+            assert_same_run(fit_kmeans(data, config), kmeans_oracle(data, config))
+
+    def test_seed_sequence_equals_per_seed_calls(self):
+        rng = np.random.default_rng(41)
+        for _ in range(100):
+            data = random_instance(rng)
+            k, seeds = int(rng.integers(1, 25)), rng.integers(1 << 32, size=int(rng.integers(1, 5)))
+            together = kmeans_pp_init(data, k, seeds.tolist())
+            assert len(together) == seeds.size
+            for seed, centers in zip(seeds.tolist(), together):
+                np.testing.assert_array_equal(centers, kmeans_pp_init(data, k, seed))
+                np.testing.assert_array_equal(centers, kmeans_pp_oracle(data, k, seed))
+
+    def test_cluster_empties_mid_run(self):
+        # after the first update the centers are 1, 5, 3; then rows 2 and 4
+        # tie and go to the lower index, and cluster 2 empties
+        data = np.array([[1.0], [2.0], [4.0], [5.0]])
+        init = np.array([[0.0], [6.0], [3.0]])
+        assert lloyd(data, init, max_iter=1).centers.shape == (3, 1)
+        result = lloyd(data, init)
+        np.testing.assert_array_equal(result.centers, [[1.5], [4.5]])
+        assert_same_run(result, lloyd_oracle(data, init, 100))
+        for max_iter in (1, 2, 3):
+            assert_same_run(lloyd(data, init, max_iter), lloyd_oracle(data, init, max_iter))
+        # small grids from grid centers, a few of which empty a cluster mid-run
+        rng = np.random.default_rng(42)
+        emptied = 0
+        for _ in range(400):
+            d = int(rng.choice([1, 2]))
+            data = rng.integers(0, 10, size=(int(rng.integers(4, 12)), d)).astype(float)
+            init = rng.integers(0, 10, size=(int(rng.integers(2, 6)), d)).astype(float)
+            result = lloyd(data, init)
+            assert_same_run(result, lloyd_oracle(data, init, 100))
+            emptied += result.centers.shape[0] < lloyd(data, init, 1).centers.shape[0]
+        assert emptied > 0
 
 
 class TestKMeansConfigValidation:

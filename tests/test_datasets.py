@@ -428,6 +428,18 @@ class TestStandardize:
         with pytest.raises(ValueError, match="dimension mismatch"):
             standardize_apply(params, ds)
 
+    def test_overflowing_spread_names_the_column(self):
+        # finite entries whose squared deviations exceed float64, in the
+        # second column only; under the suite's warnings-as-errors, no warning
+        X = np.array([[0.0, 1e160], [1.0, 0.0], [2.0, 1e160]])
+        ds = Dataset(X=X, y=np.zeros(3, dtype=np.int64), n_classes=1)
+        message = "^feature column 1: standard deviation overflows float64$"
+        with pytest.raises(ValueError, match=message):
+            standardize_fit(ds)
+        # a spread just inside the range keeps its scale, bit for bit
+        ok = Dataset(X=X / 1e10, y=ds.y, n_classes=1)
+        np.testing.assert_array_equal(standardize_fit(ok).scale, ok.X.std(axis=0))
+
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             ScalerParams(mean=np.zeros(2), scale=np.array([1.0, 0.0]))

@@ -343,7 +343,7 @@ class TestPredict:
     @pytest.mark.parametrize("scaled", [False, True], ids=["raw", "scaler"])
     def test_screen_decides_separated_rows_and_defers_ties(self, monkeypatch, scaled):
         # the float32 screen certifies every row of well-separated blobs,
-        # and no query on a bisector: those all go to the exact search
+        # and no query on a bisector: those all go to the exact re-scoring
         train = make_gaussian_blobs(
             50, centers=[[0.0, 0.0], [40.0, 40.0], [-40.0, 40.0]], sigma=1.0, seed=4
         )
@@ -360,13 +360,13 @@ class TestPredict:
             model = replace(model, scaler=scaler)
             rows, mid = rows * scaler.scale + scaler.mean, mid * scaler.scale + scaler.mean
         received = []
-        exact = _nearest.nearest
+        exact = _nearest.nearest_among
 
-        def counting(X, P, x_norms):
+        def counting(X, P, cand):
             received.append(X.shape[0])
-            return exact(X, P, x_norms)
+            return exact(X, P, cand)
 
-        monkeypatch.setattr(_nearest, "nearest", counting)
+        monkeypatch.setattr(_nearest, "nearest_among", counting)
         bank = to_discriminants(model)
         for X in (rows, rows[:1]):
             np.testing.assert_array_equal(predict(bank, X), predict_oracle(model, X))
@@ -525,6 +525,17 @@ class TestCorrect:
         fixed = correct(replace(model, scaler=scaler), raw)
         assert fixed == replace(correct(model, Dataset(
             X=(raw.X - scaler.mean) / scaler.scale, y=train.y, n_classes=2)), scaler=scaler)
+
+    def test_training_row_overflowing_in_scaling_named(self):
+        # as predict does: the scaled row would be inf, which no cell can
+        # hold honestly, so it is rejected rather than counted in cell 0
+        scaler = ScalerParams([0.0, 0.0], [1e-300, 1.0])
+        model = replace(two_sided_model(), scaler=scaler)
+        train = Dataset(X=np.array([[1e-299, 10.0], [1e10, 0.0]]), y=np.array([1, 1]), n_classes=2)
+        with pytest.raises(ValueError, match="^training row 1 overflows float64 when scaled$"):
+            correct(model, train)
+        with pytest.raises(ValueError, match="^training row 0 overflows float64 when scaled$"):
+            correct(model, Dataset(X=train.X[::-1], y=train.y, n_classes=2))
 
     def test_empty_training_set_rejected(self):
         empty = SimpleNamespace(X=np.empty((0, 2)), y=np.empty(0, dtype=np.int64))
