@@ -1,21 +1,23 @@
 """Exact nearest-site search by one matrix product.
 
-By the identity ||x - p||^2 = ||x||^2 + (||p||^2 - 2 p . x), the sites
-nearest to x are those with the smallest screen value ||p||^2 - 2 p . x,
-so a block of queries is scored against all sites by one GEMM. Rounding
-can reorder sites whose screen values are close; every answer is
-therefore checked against a rigorous bound (Higham, Accuracy and
-Stability of Numerical Algorithms, ch. 3) and re-scored with explicit
-differences ((p - x)**2).sum() where the screen cannot decide. The
-results equal those of the explicit-difference computation, ties going
-to the lowest site index.
+By the identity ||x - p||^2 = ||x||^2 - (2 p . x - ||p||^2), the sites
+nearest to x are those with the largest discriminant 2 p . x - ||p||^2
+(the linear forms of the paper), so a block of queries is scored
+against all sites by one GEMM, higher meaning nearer. Rounding can
+reorder sites whose scores are close; every answer is therefore checked
+against a rigorous bound (Higham, Accuracy and Stability of Numerical
+Algorithms, ch. 3) and re-scored with explicit differences
+((p - x)**2).sum() where the screen cannot decide. The results equal
+those of the explicit-difference computation, ties going to the lowest
+site index. Negating a score and doubling p are exact, so the bound
+below holds for the discriminants as for ||p||^2 - 2 p . x.
 
 Why the bound holds. Write u for the unit roundoff of a format (2^-53
 in float64, 2^-24 in float32), gamma_n = n u / (1 - n u), r = ||x|| +
 ||p||, and tau for the smallest normal number of the screen's format.
 
-- A float64 screen scores x and p as they are. Each screen value is
-  within gamma_{d+1} r^2 of ||p||^2 - 2 p . x, for any order of
+- A float64 screen scores x and 2 p as they are. Each screen value is
+  within gamma_{d+1} r^2 of 2 p . x - ||p||^2, for any order of
   summation the BLAS takes.
 - A float32 screen (tessellation.predict) first casts x, 2 p and
   -||p||^2 to float32; the last is computed in float64, with relative
@@ -107,26 +109,29 @@ def exact_sq_dists(x: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.square(P - x).sum(axis=1)
 
 
-def screen(P: np.ndarray, X: np.ndarray, p_sq: np.ndarray) -> np.ndarray:
-    """(sites, queries) screen values ||p||^2 - 2 p . x, by one GEMM."""
-    scores = -2.0 * P @ X.T
-    return np.add(scores, p_sq[:, None], out=scores)
+def discriminants(X: np.ndarray, P2: np.ndarray, p_sq: np.ndarray) -> np.ndarray:
+    """(queries, sites) scores 2 p . x - ||p||^2 of the rows of X against
+    the sites p, given P2 = 2 P and their squared norms p_sq, by one GEMM."""
+    scores = X @ P2.T
+    return np.subtract(scores, p_sq, out=scores)
 
 
 def select(scores: np.ndarray, bound: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Exact nearest row of P per row of X, from their float64 screen
-    scores (left as they were) and a rounding bound per query; queries
-    whose winner leads by no more than the bound go to nearest_among with
-    the sites within the bound of it. Runs under nearest's np.errstate."""
-    cols = np.arange(scores.shape[1])
-    best = scores.argmin(axis=0)
-    first = scores[best, cols]
-    scores[best, cols] = np.inf
-    gap = scores.min(axis=0) - first
-    scores[best, cols] = first
+    """Exact nearest row of P per row of X, from their (queries, sites)
+    scores 2 p . x - ||p||^2 (float64 or float32, any layout; left as
+    they were) and a rounding bound per query. A query whose top score
+    leads its runner-up by more than the bound is certified; each other
+    goes to nearest_among with the sites within the bound of its top.
+    Runs under nearest's np.errstate."""
+    rows = np.arange(scores.shape[0])
+    best = scores.argmax(axis=1)
+    top = scores[rows, best]
+    scores[rows, best] = -np.inf
+    gap = top - scores.max(axis=1)
+    scores[rows, best] = top
     fail = np.flatnonzero(~(gap > bound))
     if fail.size:
-        cand = ~(scores[:, fail] > first[fail] + bound[fail]).T  # all, where bound is inf
+        cand = ~(scores[fail] < (top[fail] - bound[fail])[:, None])  # all, where bound is inf
         best[fail] = nearest_among(X[fail], P, cand)[:, 0]
     return best
 
@@ -146,33 +151,30 @@ def nearest_among(X: np.ndarray, P: np.ndarray, cand: np.ndarray, k: int = 1) ->
     return sites[np.lexsort((d2, rows))[first[:, None] + np.arange(k)]]
 
 
-def nearest(X: np.ndarray, P: np.ndarray, x_norms: np.ndarray) -> np.ndarray:
+def nearest(X: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Index of the nearest row of P for each row of X, ties to the
-    lowest index; equal to the argmin of exact_sq_dists per row.
-
-    x_norms holds the Euclidean norms of the rows of X. Scores are
-    computed in (sites, queries) blocks so that the reductions run over
-    contiguous rows; select decides each block.
-    """
+    lowest index; equal to the argmin of exact_sq_dists per row. select
+    decides each (queries, sites) block of discriminants."""
     # Overflow is no fault: a row whose screen could overflow has an inf
     # bound and takes the exact path, where distances may overflow to inf.
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.empty(X.shape[0], dtype=np.intp)
         p_sq = sq_norms(P)
-        bound = rounding_bound(x_norms, float(np.sqrt(p_sq.max())), P.shape[1])
+        bound = rounding_bound(np.sqrt(sq_norms(X)), float(np.sqrt(p_sq.max())), P.shape[1])
+        P2 = 2.0 * P  # once per call, not per block
         step = block_rows(P.shape[0])
         for start in range(0, X.shape[0], step):
             rows = slice(start, start + step)
-            out[rows] = select(screen(P, X[rows], p_sq), bound[rows], X[rows], P)
+            out[rows] = select(discriminants(X[rows], P2, p_sq), bound[rows], X[rows], P)
         return out
 
 
-def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int, x_norms: np.ndarray) -> np.ndarray:
+def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int) -> np.ndarray:
     """For each row of X, the indices of its k nearest rows of P, where
     rows are ordered by (exact_sq_dists, index); shape (n, k), each row
     in no particular order.
 
-    The k-th smallest screen value is found by partition. Sites within
+    The k-th largest discriminant is found by partition. Sites within
     the rounding bound of it are the candidates; when there are exactly
     k they are the answer, otherwise they are ordered explicitly.
     """
@@ -180,16 +182,14 @@ def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int, x_norms: np.ndarray) ->
         n, G = X.shape[0], P.shape[0]
         out = np.empty((n, k), dtype=np.intp)
         p_sq = sq_norms(P)
-        bound = rounding_bound(x_norms, float(np.sqrt(p_sq.max())), P.shape[1])
-        neg2pt = -2.0 * P.T
+        bound = rounding_bound(np.sqrt(sq_norms(X)), float(np.sqrt(p_sq.max())), P.shape[1])
+        P2 = 2.0 * P
         step = block_rows(G)
         for start in range(0, n, step):
             stop = min(start + step, n)
-            scores = X[start:stop] @ neg2pt
-            scores += p_sq
-            kth = np.partition(scores, k - 1, axis=1)[:, k - 1]
-            cand = scores <= (kth + bound[start:stop])[:, None]
-            cand[~np.isfinite(bound[start:stop])] = True
+            scores = discriminants(X[start:stop], P2, p_sq)
+            kth = np.partition(scores, G - k, axis=1)[:, G - k]
+            cand = ~(scores < (kth - bound[start:stop])[:, None])  # all, where bound is inf
             counts = cand.sum(axis=1)
             sure = np.flatnonzero(counts == k)
             out[start + sure] = np.nonzero(cand[sure])[1].reshape(-1, k)

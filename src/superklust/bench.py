@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ._nearest import k_nearest_sets, sq_norms
+from ._nearest import k_nearest_sets
 from .clustering import KMeansConfig
 from .datasets import (
     Dataset,
@@ -106,7 +106,7 @@ def knn_predict(model: KnnModel, X) -> np.ndarray:
     finite = np.isfinite(X).all(axis=1)
     if not finite.all():
         raise ValueError(f"non-finite feature in query row {int(finite.argmin())}")
-    nn = k_nearest_sets(X, model.X, model.n_neighbors, np.sqrt(sq_norms(X)))
+    nn = k_nearest_sets(X, model.X, model.n_neighbors)
     offsets = model.y[nn] + np.arange(X.shape[0])[:, None] * model.n_classes
     counts = np.bincount(offsets.ravel(), minlength=X.shape[0] * model.n_classes)
     return counts.reshape(X.shape[0], model.n_classes).argmax(axis=1)

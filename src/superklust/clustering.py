@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._nearest import exact_sq_dists, rounding_bound, screen, select, sq_norms
+from ._nearest import exact_sq_dists, rounding_bound, select, sq_norms
 
 __all__ = ["KMeansConfig", "KMeansResult", "kmeans_pp_init", "lloyd", "fit_kmeans"]
 
@@ -132,12 +132,13 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
     those of the returned centers, and the inertia is computed once,
     for that final state.
 
-    Each step is incremental and exact. The (centers, samples) float64
-    screen of _nearest.select, 8 bytes per center and sample, is kept
-    across steps. Only a cluster that a sample left or joined gets a new
-    mean and new screen rows: the others would sum the same rows in the
-    same order, so their centers stay bit for bit. select certifies each
-    assignment, so it is the one a full recompute gives.
+    Each step is incremental and exact. The float64 discriminants 2 c .
+    x - ||c||^2, 8 bytes per center and sample, are kept across steps,
+    one row per center so that a row is updated in place; select takes
+    their transposed view. Only a cluster that a sample left or joined
+    gets a new mean and new score rows: the others would sum the same
+    rows in the same order, so their centers stay bit for bit. select
+    certifies each assignment, so it is the one a full recompute gives.
     """
     data = _as_matrix(data, "data")
     centers = _as_matrix(init_centers, "init_centers").copy()  # updated in place
@@ -154,10 +155,10 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):  # as in _nearest.nearest
         p_sq = sq_norms(centers)
-        scores = screen(centers, data, p_sq)
+        scores = 2.0 * centers @ data.T - p_sq[:, None]
         while True:
             bound = rounding_bound(x_norms, float(np.sqrt(p_sq.max())), data.shape[1])
-            assign = select(scores, bound, data, centers)
+            assign = select(scores.T, bound, data, centers)
             if np.array_equal(assign, prev_assign) or iterations >= max_iter:
                 break  # a repeat is an exact fixed point: centers are its means
             # The clusters a sample left or joined; a spare last slot takes the -1s.
@@ -173,7 +174,7 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
                 rows = data[assign == j]
                 centers[j] = np.add.reduce(rows, axis=0) / rows.shape[0]
             p_sq[touched] = sq_norms(centers[touched])
-            scores[touched] = screen(centers[touched], data, p_sq[touched])
+            scores[touched] = 2.0 * centers[touched] @ data.T - p_sq[touched, None]
             prev_assign = assign
             iterations += 1
 

@@ -335,7 +335,7 @@ def decision_grid(bank: DiscriminantBank, x_range, y_range, resolution: int):
     Returns (xy, labels): xy is (resolution**2, 2) in row-major order
     with x as the outer axis, labels the predicted class per row.
     """
-    if bank.weights.shape[1] != 2:
+    if bank.points.shape[1] != 2:
         raise ValueError("grid export requires 2-D models")
     (x_lo, x_hi), (y_lo, y_hi) = x_range, y_range
     if not (x_lo < x_hi and y_lo < y_hi):

@@ -12,12 +12,13 @@ That makes the classifier piecewise linear and turns batch inference
 into a single matrix product: the bank stores each form as one column
 [w; b] of a (d+1, G) float32 matrix, so a block of queries with a column
 of ones appended, [x, 1], is scored, biases included, by one float32
-GEMM per block of rows, followed by a row-wise argmax. The margin of
-each row's winner over its runner-up is certified against a rounding
-bound (see _nearest); the few rows it cannot certify are re-scored
-exactly, so predictions equal the explicit-difference argmin of the
-float64 distances. The order of generators is part of the model: all
-ties break to the lowest index.
+GEMM per block of rows. _nearest.select, the certified decision that
+Lloyd and correct make on the same discriminants, takes the row-wise
+argmax and certifies the margin of each row's winner over its
+runner-up against a rounding bound (see _nearest); the few rows it
+cannot certify are re-scored exactly, so predictions equal the
+explicit-difference argmin of the float64 distances. The order of
+generators is part of the model: all ties break to the lowest index.
 """
 
 from __future__ import annotations
@@ -297,17 +298,15 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     Rows are taken in blocks, as float64 (a bank with a scaler applies
     it to each block: ScalerParams.apply into a reused block), and cast
     into a float32 query matrix [x, 1] that one GEMM per block scores
-    against bank.forms, biases included. A row-wise argmax follows, then
-    a second max with each winner masked gives its runner-up. A row
-    whose margin over the runner-up exceeds _nearest.rounding_bound for
-    a float32 screen is certified: no rounding of the screen or of the
-    explicit distances can change its winner. Each other row is re-scored
-    exactly by _nearest.nearest_among, against only the generators whose
-    score lies within the bound of its top one. A row that is not finite,
-    or a finite row that overflows when scaled, is never certified; it
-    raises ValueError naming the first such row. A call holds one block
-    of scores and its query blocks, reused by every block and each of at
-    most _nearest.BLOCK_ENTRIES entries.
+    against bank.forms, biases included. _nearest.select decides each
+    block, with the rounding bound of a float32 screen: no rounding of
+    the screen or of the explicit distances can change a certified
+    winner, and each other row is re-scored exactly against only the
+    generators whose score lies within the bound of its top one. A row
+    that is not finite, or a finite row that overflows when scaled, is
+    never certified; it raises ValueError naming the first such row. A
+    call holds one block of scores and its query blocks, reused by every
+    block and each of at most _nearest.BLOCK_ENTRIES entries.
     """
     forms, scaler = bank.forms, bank.scaler
     d1, G = forms.shape
@@ -333,24 +332,17 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     x_reach = _nearest.SAFE_REACH_32 - bank.p_max
     for start in range(0, n, step):
         stop = min(start + step, n)
-        q, s, b = queries[: stop - start], scores[: stop - start], best[start:stop]
+        q, s = queries[: stop - start], scores[: stop - start]
         x = _float64_rows(X[start:stop], scaler, rows[: stop - start])
         x_norms = np.sqrt(sq_norms(x))
         if x_norms.max() <= x_reach:
             q[:, :-1] = x
-        else:
+        else:  # a norm beyond reach, or not finite
+            _check_finite(x, X, start)
             q[:, :-1] = np.where((x_norms <= x_reach)[:, None], x, 0.0)
         np.matmul(q, forms, out=s)
-        s.argmax(axis=1, out=b)
-        cols = np.arange(stop - start)
-        top = s[cols, b]
-        s[cols, b] = -np.inf
-        gap = top - s.max(axis=1)
         bound = _nearest.rounding_bound(x_norms, bank.p_max, d1 - 1, np.float32)
-        fail = np.flatnonzero(~(gap > bound))
-        if fail.size:
-            s[fail, b[fail]] = top[fail]
-            b[fail] = _rescore(bank, x[fail], s[fail], bound[fail], X, start + fail)
+        best[start:stop] = _nearest.select(s, bound, x, bank.points)
     return bank.labels[best]
 
 
@@ -385,23 +377,20 @@ def _predict_row(bank: DiscriminantBank, x: np.ndarray, raw: np.ndarray) -> int:
     if gap > bound:
         return i
     s[i] = top
-    return int(_rescore(bank, x[None], s[None], np.array([bound]), raw, [0])[0])
+    _check_finite(x[None], raw, 0)
+    return int(_nearest.select(s[None], np.array([bound]), x[None], bank.points)[0])
 
 
-def _rescore(
-    bank: DiscriminantBank, x: np.ndarray, s: np.ndarray, bound: np.ndarray, raw: np.ndarray, rows
-) -> np.ndarray:
-    """Exact nearest generators of the float64 rows x (the rows numbered
-    rows of the raw input raw, scaled) among those whose float32 score s
-    lies within bound of the top one; the first row not finite raises."""
+def _check_finite(x: np.ndarray, raw: np.ndarray, start: int) -> None:
+    """Raise ValueError naming the first of the float64 rows x (rows
+    start, start + 1, ... of the raw input raw, scaled) that is not
+    finite, if any."""
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
-        i = rows[finite.argmin()]
+        i = start + int(finite.argmin())
         if np.isfinite(raw[i]).all():
             raise ValueError(f"query row {i} overflows float64 when scaled")
         raise ValueError(f"non-finite feature in query row {i}")
-    cand = ~(s < (s.max(axis=1) - bound)[:, None])  # all, where bound is inf
-    return _nearest.nearest_among(x, bank.points, cand)[:, 0]
 
 
 def correct(model: Model, train: "Dataset") -> Model:
@@ -441,7 +430,7 @@ def correct(model: Model, train: "Dataset") -> Model:
         raise ValueError(f"training row {finite.argmin()} overflows float64 when scaled")
     labels = model.labels
     G, C = labels.shape[0], model.n_classes
-    assign = nearest(X, model.points, np.sqrt(sq_norms(X)))
+    assign = nearest(X, model.points)
     counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
     # An empty cell ties every class at 0 and so keeps its label.
     tied = counts == counts.max(axis=1, keepdims=True)
@@ -538,30 +527,6 @@ def _require(condition: bool, message: str):
         raise MalformedModelError(f"malformed model document: {message}")
 
 
-def _v1_arrays(doc: dict, d: int):
-    """(points, labels, source_classes) of a version-1 document: one
-    object per generator, coordinates as JSON numbers, source_class
-    defaulting to the label."""
-    gens = doc.get("generators")
-    _require(isinstance(gens, list) and len(gens) >= 1, "generators must be a nonempty array")
-    for i, g in enumerate(gens):
-        _require(isinstance(g, dict), f"generator {i} must be an object")
-        point = g.get("point")
-        _require(
-            isinstance(point, list)
-            and len(point) == d
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in point),
-            f"generator {i}: point must be an array of {d} numbers",
-        )
-    labels = [g.get("label") for g in gens]
-    sources = [g.get("source_class", label) for g, label in zip(gens, labels)]
-    try:
-        points = np.array([g["point"] for g in gens], dtype=np.float64)
-    except OverflowError as exc:  # a JSON integer beyond the float64 range
-        raise NonFiniteModelError(f"non-finite value in a generator point: {exc}") from exc
-    return points, labels, sources
-
-
 def _f8_matrix(doc: dict, key: str, rows: int, d: int) -> np.ndarray:
     """The (rows, d) matrix stored under key as base64 little-endian float64."""
     text = doc.get(key)
@@ -578,18 +543,15 @@ def _f8_matrix(doc: dict, key: str, rows: int, d: int) -> np.ndarray:
 
 
 def load_model(data: bytes | str) -> Model:
-    """Parse a model document produced by save_model, of version 2 or 1.
+    """Parse a model document produced by save_model.
 
     Raises MalformedModelError, ModelVersionError, or
     NonFiniteModelError (distinct codes) for broken documents,
-    unsupported versions, and non-finite coordinates (a version-1
-    integer beyond float64 included) or scaler entries respectively;
-    Model checks what decoding does not. correction_iterations is
-    optional in either version and defaults to 0; label_names and scaler
-    are optional in version 2. A version-1 document writes each
-    generator as an object {"point": [...], "label": ...,
-    "source_class": ...} whose source_class defaults to the label, and
-    has no label_names or scaler.
+    unsupported versions (version 1 included: its models must be
+    refitted), and non-finite coordinates or scaler entries
+    respectively; Model checks what decoding does not.
+    correction_iterations, label_names and scaler are optional, and
+    correction_iterations defaults to 0.
     """
     if isinstance(data, bytes):
         try:
@@ -604,31 +566,28 @@ def load_model(data: bytes | str) -> Model:
     _require(isinstance(doc, dict), "top level must be an object")
     _require("version" in doc, "missing version")
     version = doc["version"]
-    if version not in (1, _MODEL_VERSION):
+    if version != _MODEL_VERSION:
         raise ModelVersionError(
-            f"unsupported model version {version!r}, expected 1 or {_MODEL_VERSION}"
+            f"unsupported model version {version!r}, expected {_MODEL_VERSION}; "
+            "refit the model with this version of superklust"
         )
     d = doc.get("d")
     _require(type(d) is int and d >= 1, "d must be a positive integer")
-    if version == 1:
-        points, labels, sources = _v1_arrays(doc, d)
-    else:
-        labels, sources = doc.get("labels"), doc.get("source_classes")
+    labels, sources = doc.get("labels"), doc.get("source_classes")
     # one pass over each G-long list: JSON true and 1.0 are not class ids
     for key, values in (("labels", labels), ("source_classes", sources)):
         _require(
             isinstance(values, list) and all(type(v) is int for v in values),
             f"{key} must be an array of integers",
         )
-    names = scaler = None
-    if version == 2:
-        points = _f8_matrix(doc, "points", len(labels), d)
-        names = doc.get("label_names")
-        _require(names is None or isinstance(names, list), "label_names must be an array")
-        if "scaler" in doc:
-            scaler = _f8_matrix(doc, "scaler", 2, d)
-            if not np.isfinite(scaler).all():
-                raise NonFiniteModelError("non-finite value in scaler")
+    points = _f8_matrix(doc, "points", len(labels), d)
+    names = doc.get("label_names")
+    _require(names is None or isinstance(names, list), "label_names must be an array")
+    scaler = None
+    if "scaler" in doc:
+        scaler = _f8_matrix(doc, "scaler", 2, d)
+        if not np.isfinite(scaler).all():
+            raise NonFiniteModelError("non-finite value in scaler")
     finite = np.isfinite(points).all(axis=1)
     if not finite.all():
         raise NonFiniteModelError(f"non-finite value in generator {int(finite.argmin())}")

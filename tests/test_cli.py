@@ -291,6 +291,24 @@ class TestPredict:
             "label", '"x,y"', '"x,y"', '"say ""hi"""', '"say ""hi"""', "accuracy: 1.0000"
         ]
 
+    def test_version_1_model_exits_1(self, tmp_path):
+        model_path = tmp_path / "model.json"
+        model_path.write_text(
+            '{"version":1,"d":2,"n_classes":1,"k":1,'
+            '"generators":[{"point":[0.0,0.0],"label":0}]}\n'
+        )
+        data = tmp_path / "test.csv"
+        data.write_text("0,0,0\n")
+        out = tmp_path / "out.csv"
+        for argv in (("predict", "--data", str(data)), ("grid",)):
+            proc = run_cli(*argv, "--model", str(model_path), "--out", str(out))
+            assert proc.returncode == 1
+            assert proc.stderr.splitlines() == [
+                "error: unsupported model version 1, expected 2; "
+                "refit the model with this version of superklust"
+            ]
+            assert proc.stdout == "" and not out.exists()
+
     def test_unknown_test_label_exits_1(self, tmp_path):
         proc, out = self.named_labels(tmp_path, "5,5.1,b\n10,0.2,z\n")
         assert proc.returncode == 1

@@ -19,7 +19,7 @@ from superklust import (
 )
 from superklust import _nearest
 from superklust.bench import knn_fit, knn_predict
-from superklust._nearest import k_nearest_sets, nearest, sq_norms
+from superklust._nearest import k_nearest_sets, nearest, rounding_bound, sq_norms
 from conftest import predict_oracle, random_labeled_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -64,7 +64,7 @@ def check_nearest(X, P):
     queries through predict (see check_predict)."""
     X = np.asarray(X, dtype=np.float64)
     P = np.asarray(P, dtype=np.float64)
-    got = nearest(X, P, np.sqrt(sq_norms(X)))  # must not warn
+    got = nearest(X, P)  # must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         np.testing.assert_array_equal(got, explicit_argmin(X, P))
     check_predict(X, P)
@@ -162,20 +162,88 @@ class TestNearest:
         check_nearest(X, P)
 
 
+class TestSelect:
+    """select's contract: from scores 2 p . x - ||p||^2, in float64 or
+    float32, laid out (queries, sites) or as the transposed view of a
+    (sites, queries) block as Lloyd keeps them, it returns the explicit
+    argmin, ties to the lowest index, and leaves the scores bit for bit."""
+
+    @staticmethod
+    def instance():
+        rng = np.random.default_rng(19)
+        base = rng.normal(size=(6, 4))
+        # duplicate sites, ulp-apart sites, and queries on and between them
+        P = np.concatenate([base, base[:2], np.nextafter(base[2:4], np.inf)])
+        X = np.concatenate([P, (P[:5] + P[5:]) / 2, rng.normal(size=(40, 4))])
+        return X, P
+
+    @staticmethod
+    def scores(X, P, dtype, layout):
+        exact = 2.0 * X @ P.T - sq_norms(P)
+        if layout == "queries-sites":
+            return np.ascontiguousarray(exact, dtype=dtype)
+        return np.ascontiguousarray(exact.T, dtype=dtype).T
+
+    @staticmethod
+    def bound(X, P, dtype):
+        p_max = float(np.sqrt(sq_norms(P).max()))
+        return rounding_bound(np.sqrt(sq_norms(X)), p_max, P.shape[1], dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layout", ["queries-sites", "sites-queries"])
+    def test_matches_explicit_argmin(self, dtype, layout):
+        X, P = self.instance()
+        scores = self.scores(X, P, dtype, layout)
+        before = scores.tobytes()
+        bound = self.bound(X, P, dtype)
+        got = _nearest.select(scores, bound, X, P)
+        np.testing.assert_array_equal(got, explicit_argmin(X, P))
+        assert got[6] == 0 and got[7] == 1 and got[8] == 8 and got[9] == 9
+        assert scores.tobytes() == before
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layout", ["queries-sites", "sites-queries"])
+    def test_inf_bound_rows_take_every_site(self, monkeypatch, dtype, layout):
+        X, P = self.instance()
+        scores = self.scores(X, P, dtype, layout)
+        before = scores.tobytes()
+        bound = self.bound(X, P, dtype)
+        bound[::3] = np.inf
+        received = []
+        exact = _nearest.nearest_among
+
+        def recording(Q, S, cand):
+            received.append((Q, cand))
+            return exact(Q, S, cand)
+
+        monkeypatch.setattr(_nearest, "nearest_among", recording)
+        got = _nearest.select(scores, bound, X, P)
+        np.testing.assert_array_equal(got, explicit_argmin(X, P))
+        assert scores.tobytes() == before
+        # with every bound inf, every row is re-scored against every site
+        received.clear()
+        got = _nearest.select(scores, np.full(X.shape[0], np.inf), X, P)
+        np.testing.assert_array_equal(got, explicit_argmin(X, P))
+        assert scores.tobytes() == before
+        (Q, cand), = received
+        np.testing.assert_array_equal(Q, X)
+        assert cand.shape == (X.shape[0], P.shape[0]) and cand.all()
+
+
 class TestKNearestSets:
-    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("k", [1, 2, 5, 80])  # 80: every site
     def test_matches_explicit_order(self, k):
         rng = np.random.default_rng(9)
         P = rng.integers(-2, 3, size=(80, 3)).astype(float)  # many exact ties
         X = np.concatenate([rng.integers(-2, 3, size=(50, 3)) / 2.0, rng.normal(size=(50, 3))])
-        got = k_nearest_sets(X, P, k, np.sqrt(sq_norms(X)))
+        got = k_nearest_sets(X, P, k)
         assert [sorted(row) for row in got] == explicit_k_sets(X, P, k)
 
     def test_huge_norms_take_every_site(self):
         rng = np.random.default_rng(10)
         P = rng.normal(size=(30, 4)) * 1e200
         X = rng.normal(size=(10, 4)) * 1e200
-        got = k_nearest_sets(X, P, 3, np.sqrt(sq_norms(X)))  # must not warn
+        got = k_nearest_sets(X, P, 3)  # must not warn
         with np.errstate(over="ignore"):
             want = explicit_k_sets(X, P, 3)
         assert [sorted(row) for row in got] == want
@@ -223,7 +291,7 @@ class TestSmallBlocks:
         rng = np.random.default_rng(13)
         P = rng.integers(-2, 3, size=(40, 3)).astype(float)
         X = rng.integers(-3, 4, size=(200, 3)) / 2.0
-        got = k_nearest_sets(X, P, 4, np.sqrt(sq_norms(X)))
+        got = k_nearest_sets(X, P, 4)
         assert [sorted(row) for row in got] == explicit_k_sets(X, P, 4)
 
     def test_predict(self):

@@ -38,11 +38,10 @@ def multi_pass_correct(model, train, max_passes=100):
     y = np.asarray(train.y)
     X = train.X if model.scaler is None else model.scaler.apply(train.X)
     points, labels, sources = model.points, model.labels, model.source_classes
-    x_norms = np.sqrt(_nearest.sq_norms(X))
     passes = 0
     while passes < max_passes:
         passes += 1
-        assign = _nearest.nearest(X, points, x_norms)
+        assign = _nearest.nearest(X, points)
         G, C = points.shape[0], model.n_classes
         counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
         tied = counts == counts.max(axis=1, keepdims=True)
@@ -698,8 +697,10 @@ class TestSerialization:
             b'[{"point":[-0.0,5e-324,1.7976931348623157e+308,0.1,0.30000000000000004],'
             b'"label":0,"source_class":0}]}\n'
         )
-        assert load_model(v1) == model
-        assert load_model(v1).points.tobytes() == model.points.tobytes()
+        # the same model as a version-1 document: refused, with a hint to refit
+        with pytest.raises(ModelVersionError, match="refit") as info:
+            load_model(v1)
+        assert info.value.code == "version"
 
     def test_round_trip_from_str(self):
         model = self.fitted_model()
@@ -719,35 +720,44 @@ class TestSerialization:
         assert base64.b64decode(doc["points"]) == model.points.astype("<f8").tobytes()
 
     def test_minimal_document_accepted(self):
-        doc = {
-            "version": 1,
-            "d": 2,
-            "n_classes": 2,
-            "k": 1,
-            "generators": [{"point": [1.0, 2.0], "label": 1}],
-        }
+        # no correction_iterations, label_names or scaler
+        points = base64.b64encode(np.array([1.0, 2.0]).astype("<f8").tobytes()).decode()
+        doc = {"version": 2, "d": 2, "n_classes": 2, "k": 1, "labels": [1],
+               "source_classes": [0], "points": points}
         model = load_model(json.dumps(doc))
-        assert model.labels.tolist() == [1] and model.source_classes.tolist() == [1]
+        assert model.labels.tolist() == [1] and model.source_classes.tolist() == [0]
+        np.testing.assert_array_equal(model.points, [[1.0, 2.0]])
         assert model.correction_iterations == 0
+        assert model.label_names is None and model.scaler is None
 
     @pytest.mark.parametrize(
-        "text",
+        "text,error",
         [
-            "not json at all",
-            "[1,2,3]",
-            '{"d":1,"n_classes":1,"k":1,"generators":[{"point":[0.0],"label":0}]}',
-            '{"version":1,"d":0,"n_classes":1,"k":1,"generators":[]}',
-            '{"version":1,"d":1,"n_classes":1,"k":1,"generators":[]}',
-            '{"version":1,"d":1,"n_classes":1,"k":1,"generators":[{"point":[0.0,1.0],"label":0}]}',
-            '{"version":1,"d":1,"n_classes":1,"k":1,"generators":[{"point":[true],"label":0}]}',
-            '{"version":1,"d":1,"n_classes":1,"k":1,"generators":[{"point":[0.0],"label":3}]}',
-            '{"version":1,"d":1,"n_classes":1,"k":1,"generators":[{"point":["x"],"label":0}]}',
+            pytest.param(text, error, id=text)
+            for text, error in [
+                ("not json at all", MalformedModelError),
+                ("[1,2,3]", MalformedModelError),
+                ('{"d":1,"n_classes":1,"k":1,"generators":[{"point":[0.0],"label":0}]}',
+                 MalformedModelError),
+                # broken version-1 documents: the version is checked first,
+                # so each is refused with a hint to refit, whatever it holds
+                ('{"version":1,"d":0,"n_classes":1,"k":1,"generators":[]}', ModelVersionError),
+                ('{"version":1,"d":1,"n_classes":1,"k":1,"generators":[]}', ModelVersionError),
+                ('{"version":1,"d":1,"n_classes":1,"k":1,'
+                 '"generators":[{"point":[0.0,1.0],"label":0}]}', ModelVersionError),
+                ('{"version":1,"d":1,"n_classes":1,"k":1,'
+                 '"generators":[{"point":[true],"label":0}]}', ModelVersionError),
+                ('{"version":1,"d":1,"n_classes":1,"k":1,'
+                 '"generators":[{"point":[0.0],"label":3}]}', ModelVersionError),
+                ('{"version":1,"d":1,"n_classes":1,"k":1,'
+                 '"generators":[{"point":["x"],"label":0}]}', ModelVersionError),
+            ]
         ],
     )
-    def test_malformed_documents(self, text):
-        with pytest.raises(MalformedModelError) as info:
+    def test_malformed_documents(self, text, error):
+        with pytest.raises(error) as info:
             load_model(text)
-        assert info.value.code == "malformed"
+        assert info.value.code == error.code
 
     @pytest.mark.parametrize(
         "change,error",
@@ -859,18 +869,36 @@ class TestSerialization:
         assert save_model(named) == save_model(model)
 
     def test_version_error(self):
-        text = '{"version":3,"d":1,"n_classes":1,"k":1,"generators":[{"point":[0.0],"label":0}]}'
-        with pytest.raises(ModelVersionError) as info:
-            load_model(text)
-        assert info.value.code == "version"
+        # a well-formed version-1 document is refused too (nothing writes
+        # version 1); broken ones are in test_malformed_documents
+        gen = '"generators":[{"point":[0.0],"label":0}]'
+        for text in (
+            f'{{"version":3,"d":1,"n_classes":1,"k":1,{gen}}}',
+            f'{{"version":"2","d":1,"n_classes":1,"k":1,{gen}}}',
+            f'{{"version":1,"d":2,"n_classes":2,"k":1,{gen}}}',
+        ):
+            with pytest.raises(ModelVersionError, match="expected 2; refit") as info:
+                load_model(text)
+            assert info.value.code == "version"
 
     @pytest.mark.parametrize(
         "bad", ["Infinity", "-Infinity", "NaN", pytest.param("1" + "0" * 400, id="401-digits")]
     )
     def test_non_finite_error(self, bad):
+        # a version-1 document, with its coordinate as a JSON number, is
+        # refused by its version before the coordinate is read
         text = (
             '{"version":1,"d":1,"n_classes":1,"k":1,'
             f'"generators":[{{"point":[{bad}],"label":0}}]}}'
+        )
+        with pytest.raises(ModelVersionError) as info:
+            load_model(text)
+        assert info.value.code == "version"
+        # the same value as a version-2 float64 coordinate
+        points = base64.b64encode(np.array([float(bad)]).astype("<f8").tobytes()).decode()
+        text = (
+            '{"version":2,"d":1,"n_classes":1,"k":1,"labels":[0],"source_classes":[0],'
+            f'"points":"{points}"}}'
         )
         with pytest.raises(NonFiniteModelError) as info:
             load_model(text)
