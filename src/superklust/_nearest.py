@@ -12,6 +12,9 @@ those of the explicit-difference computation, ties going to the lowest
 site index. Negating a score and doubling p are exact, so the bound
 below holds for the discriminants as for ||p||^2 - 2 p . x.
 
+Lloyd's assignment and k_nearest_sets screen in float64; predict and
+correct share one float32 screen, tessellation._nearest_rows.
+
 Why the bound holds. Write u for the unit roundoff of a format (2^-53
 in float64, 2^-24 in float32), gamma_n = n u / (1 - n u), r = ||x|| +
 ||p||, and tau for the smallest normal number of the screen's format.
@@ -19,7 +22,7 @@ in float64, 2^-24 in float32), gamma_n = n u / (1 - n u), r = ||x|| +
 - A float64 screen scores x and 2 p as they are. Each screen value is
   within gamma_{d+1} r^2 of 2 p . x - ||p||^2, for any order of
   summation the BLAS takes.
-- A float32 screen (tessellation.predict) first casts x, 2 p and
+- A float32 screen (tessellation._nearest_rows) first casts x, 2 p and
   -||p||^2 to float32; the last is computed in float64, with relative
   error gamma_d below the float32 u for d < 2^29. A cast errs by at most
   u |v| + tau; tau covers gradual underflow, and also a BLAS that
@@ -109,20 +112,14 @@ def exact_sq_dists(x: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.square(P - x).sum(axis=1)
 
 
-def discriminants(X: np.ndarray, P2: np.ndarray, p_sq: np.ndarray) -> np.ndarray:
-    """(queries, sites) scores 2 p . x - ||p||^2 of the rows of X against
-    the sites p, given P2 = 2 P and their squared norms p_sq, by one GEMM."""
-    scores = X @ P2.T
-    return np.subtract(scores, p_sq, out=scores)
-
-
 def select(scores: np.ndarray, bound: np.ndarray, X: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Exact nearest row of P per row of X, from their (queries, sites)
     scores 2 p . x - ||p||^2 (float64 or float32, any layout; left as
     they were) and a rounding bound per query. A query whose top score
     leads its runner-up by more than the bound is certified; each other
     goes to nearest_among with the sites within the bound of its top.
-    Runs under nearest's np.errstate."""
+    Scores that overflowed to inf can make it warn: Lloyd calls it under
+    np.errstate, and the float32 screen zeroes rows beyond its reach."""
     rows = np.arange(scores.shape[0])
     best = scores.argmax(axis=1)
     top = scores[rows, best]
@@ -151,24 +148,6 @@ def nearest_among(X: np.ndarray, P: np.ndarray, cand: np.ndarray, k: int = 1) ->
     return sites[np.lexsort((d2, rows))[first[:, None] + np.arange(k)]]
 
 
-def nearest(X: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Index of the nearest row of P for each row of X, ties to the
-    lowest index; equal to the argmin of exact_sq_dists per row. select
-    decides each (queries, sites) block of discriminants."""
-    # Overflow is no fault: a row whose screen could overflow has an inf
-    # bound and takes the exact path, where distances may overflow to inf.
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.empty(X.shape[0], dtype=np.intp)
-        p_sq = sq_norms(P)
-        bound = rounding_bound(np.sqrt(sq_norms(X)), float(np.sqrt(p_sq.max())), P.shape[1])
-        P2 = 2.0 * P  # once per call, not per block
-        step = block_rows(P.shape[0])
-        for start in range(0, X.shape[0], step):
-            rows = slice(start, start + step)
-            out[rows] = select(discriminants(X[rows], P2, p_sq), bound[rows], X[rows], P)
-        return out
-
-
 def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int) -> np.ndarray:
     """For each row of X, the indices of its k nearest rows of P, where
     rows are ordered by (exact_sq_dists, index); shape (n, k), each row
@@ -178,7 +157,8 @@ def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int) -> np.ndarray:
     the rounding bound of it are the candidates; when there are exactly
     k they are the answer, otherwise they are ordered explicitly.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # as in nearest
+    # a row whose screen may overflow has an inf bound: the exact path
+    with np.errstate(over="ignore", invalid="ignore"):
         n, G = X.shape[0], P.shape[0]
         out = np.empty((n, k), dtype=np.intp)
         p_sq = sq_norms(P)
@@ -187,7 +167,8 @@ def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int) -> np.ndarray:
         step = block_rows(G)
         for start in range(0, n, step):
             stop = min(start + step, n)
-            scores = discriminants(X[start:stop], P2, p_sq)
+            scores = X[start:stop] @ P2.T  # 2 p . x - ||p||^2, by one GEMM
+            scores -= p_sq
             kth = np.partition(scores, G - k, axis=1)[:, G - k]
             cand = ~(scores < (kth - bound[start:stop])[:, None])  # all, where bound is inf
             counts = cand.sum(axis=1)

@@ -49,7 +49,11 @@ class Dataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
-        self.y = np.asarray(self.y, dtype=np.int64)
+        y = np.asarray(self.y)
+        # an int64 class id each, not truncated to one; nan fails the compare
+        if y.dtype.kind == "f" and not ((np.abs(y) < 2.0**63) & (np.trunc(y) == y)).all():
+            raise ValueError("labels must be integer class ids")
+        self.y = y.astype(np.int64, copy=False)
         if self.X.ndim != 2 or self.X.shape[0] == 0:
             raise ValueError("X must be a nonempty 2-D matrix")
         if self.y.shape != (self.X.shape[0],):

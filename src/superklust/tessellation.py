@@ -12,13 +12,13 @@ That makes the classifier piecewise linear and turns batch inference
 into a single matrix product: the bank stores each form as one column
 [w; b] of a (d+1, G) float32 matrix, so a block of queries with a column
 of ones appended, [x, 1], is scored, biases included, by one float32
-GEMM per block of rows. _nearest.select, the certified decision that
-Lloyd and correct make on the same discriminants, takes the row-wise
-argmax and certifies the margin of each row's winner over its
-runner-up against a rounding bound (see _nearest); the few rows it
-cannot certify are re-scored exactly, so predictions equal the
-explicit-difference argmin of the float64 distances. The order of
-generators is part of the model: all ties break to the lowest index.
+GEMM per block of rows. _nearest.select takes the row-wise argmax and
+certifies the margin of each row's winner over its runner-up against
+a rounding bound (see _nearest); the few rows it cannot certify are
+re-scored exactly, so answers equal the explicit-difference argmin of
+the float64 distances. That block loop, _nearest_rows, is the one
+nearest-generator scan of a model, for predict and correct alike. The
+order of generators is part of the model: ties break to the lowest index.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _nearest
-from ._nearest import block_rows, nearest, sq_norms
+from ._nearest import block_rows, sq_norms
 from .clustering import KMeansConfig, fit_kmeans
 
 if TYPE_CHECKING:
@@ -295,6 +295,26 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     explicit float64 squared distance, ties to the lowest generator
     index; equal to the argmax discriminant in exact arithmetic.
 
+    One row goes to _predict_row, more to _nearest_rows. A row that is
+    not finite, or a finite row that overflows when scaled, raises
+    ValueError naming the first such row.
+    """
+    d = bank.forms.shape[0] - 1
+    X = np.asarray(X)
+    if X.ndim != 2:
+        raise ValueError("queries must form a 2-D matrix")
+    if X.shape[1] != d:
+        raise ValueError(f"dimension mismatch: queries have {X.shape[1]} features, expected {d}")
+    if X.shape[0] == 1:
+        i = _predict_row(bank, _float64_rows(X[0], bank.scaler, np.empty(d)), X)
+        return bank.labels[i : i + 1].copy()
+    return bank.labels[_nearest_rows(bank, X)]
+
+
+def _nearest_rows(bank: DiscriminantBank, X: np.ndarray) -> np.ndarray:
+    """Index of the nearest generator of each raw row of the 2-D X, as
+    predict defines it: the one nearest-generator scan of a model.
+
     Rows are taken in blocks, as float64 (a bank with a scaler applies
     it to each block: ScalerParams.apply into a reused block), and cast
     into a float32 query matrix [x, 1] that one GEMM per block scores
@@ -302,25 +322,13 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     block, with the rounding bound of a float32 screen: no rounding of
     the screen or of the explicit distances can change a certified
     winner, and each other row is re-scored exactly against only the
-    generators whose score lies within the bound of its top one. A row
-    that is not finite, or a finite row that overflows when scaled, is
-    never certified; it raises ValueError naming the first such row. A
-    call holds one block of scores and its query blocks, reused by every
+    generators whose score lies within the bound of its top one. A call
+    holds one block of scores and its query blocks, reused by every
     block and each of at most _nearest.BLOCK_ENTRIES entries.
     """
     forms, scaler = bank.forms, bank.scaler
     d1, G = forms.shape
-    X = np.asarray(X)
-    if X.ndim != 2:
-        raise ValueError("queries must form a 2-D matrix")
-    if X.shape[1] != d1 - 1:
-        raise ValueError(
-            f"dimension mismatch: queries have {X.shape[1]} features, expected {d1 - 1}"
-        )
     n = X.shape[0]
-    if n == 1:
-        i = _predict_row(bank, _float64_rows(X[0], scaler, np.empty(d1 - 1)), X)
-        return bank.labels[i : i + 1].copy()
     step = max(1, min(n, block_rows(max(G, d1))))
     rows = np.empty((step, d1 - 1))
     queries = np.empty((step, d1), dtype=np.float32)
@@ -343,7 +351,7 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
         np.matmul(q, forms, out=s)
         bound = _nearest.rounding_bound(x_norms, bank.p_max, d1 - 1, np.float32)
         best[start:stop] = _nearest.select(s, bound, x, bank.points)
-    return bank.labels[best]
+    return best
 
 
 def _float64_rows(X: np.ndarray, scaler: ScalerParams | None, out: np.ndarray) -> np.ndarray:
@@ -396,7 +404,7 @@ def _check_finite(x: np.ndarray, raw: np.ndarray, start: int) -> None:
 def correct(model: Model, train: "Dataset") -> Model:
     """Relabel and prune generators against the training partition, in
     one pass: (1) assign every training sample to its nearest generator
-    (exact explicit-difference squared distances, ties to lowest index);
+    by predict's scan, _nearest_rows (exact, ties to lowest index);
     (2) give each generator the majority label of its samples, keeping
     the current label when it ties for the majority and otherwise taking
     the lowest tied class id; (3) drop generators that received no
@@ -430,7 +438,7 @@ def correct(model: Model, train: "Dataset") -> Model:
         raise ValueError(f"training row {finite.argmin()} overflows float64 when scaled")
     labels = model.labels
     G, C = labels.shape[0], model.n_classes
-    assign = nearest(X, model.points)
+    assign = _nearest_rows(replace(to_discriminants(model), scaler=None), X)
     counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
     # An empty cell ties every class at 0 and so keeps its label.
     tied = counts == counts.max(axis=1, keepdims=True)
@@ -566,7 +574,7 @@ def load_model(data: bytes | str) -> Model:
     _require(isinstance(doc, dict), "top level must be an object")
     _require("version" in doc, "missing version")
     version = doc["version"]
-    if version != _MODEL_VERSION:
+    if type(version) is not int or version != _MODEL_VERSION:  # the JSON float 2.0 is no version
         raise ModelVersionError(
             f"unsupported model version {version!r}, expected {_MODEL_VERSION}; "
             "refit the model with this version of superklust"

@@ -65,6 +65,19 @@ class TestDatasetType:
         with pytest.raises(ValueError, match="labels must lie"):
             Dataset(X=np.zeros((2, 1)), y=np.array([0, 2]), n_classes=2)
 
+    @pytest.mark.parametrize(
+        "y", [[0.5, 1.7], [-0.5, 1.0], [0.0, np.nan], [0.0, np.inf], [-np.inf, 1.0], [1e30, 0.0]],
+        ids=["fractions", "negative-half", "nan", "inf", "-inf", "beyond-int64"],
+    )
+    def test_non_integer_labels_rejected(self, y):
+        # not truncated to a class id; nan, inf and 1e30 without a cast warning
+        with pytest.raises(ValueError, match="^labels must be integer class ids$"):
+            Dataset(X=np.zeros((2, 1)), y=y, n_classes=2)
+
+    def test_integral_float_labels_accepted(self):
+        ds = Dataset(X=np.zeros((3, 1)), y=[1.0, 0.0, -0.0], n_classes=2)
+        assert ds.y.dtype == np.int64 and ds.y.tolist() == [1, 0, 0]
+
 
 class TestMoons:
     def test_noise_free_parametrization(self):

@@ -34,14 +34,15 @@ from conftest import predict_oracle, random_labeled_model
 def multi_pass_correct(model, train, max_passes=100):
     """The correction loop that correct() once ran: passes repeat until
     one changes nothing, or max_passes. correct() makes one pass and
-    must return the same model, correction_iterations included."""
+    must return the same model, correction_iterations included. Each
+    row goes to its explicit-difference argmin, ties to the lowest index."""
     y = np.asarray(train.y)
     X = train.X if model.scaler is None else model.scaler.apply(train.X)
     points, labels, sources = model.points, model.labels, model.source_classes
     passes = 0
     while passes < max_passes:
         passes += 1
-        assign = _nearest.nearest(X, points)
+        assign = np.array([int(np.square(points - x).sum(axis=1).argmin()) for x in X])
         G, C = points.shape[0], model.n_classes
         counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
         tied = counts == counts.max(axis=1, keepdims=True)
@@ -480,12 +481,13 @@ class TestCorrect:
 
     def test_one_nearest_scan_per_call(self, monkeypatch):
         calls = []
+        scan = tessellation._nearest_rows
 
         def counting(*args):
             calls.append(args)
-            return _nearest.nearest(*args)
+            return scan(*args)
 
-        monkeypatch.setattr(tessellation, "nearest", counting)
+        monkeypatch.setattr(tessellation, "_nearest_rows", counting)
         train = self.blob_train()
         # a relabel and a prune: the rule counts two passes, correct scans once
         model = Model(
@@ -495,6 +497,36 @@ class TestCorrect:
         fixed = correct(model, train)
         assert fixed.correction_iterations == 2 and len(calls) == 1
         assert correct(fixed, train).correction_iterations == 3 and len(calls) == 2
+
+    @pytest.mark.parametrize("scaled", [False, True], ids=["raw", "scaler"])
+    def test_rows_the_screen_cannot_certify(self, monkeypatch, scaled):
+        # generators 1e-9 apart with other labels, rows next to them and on
+        # the bisectors of every pair: the float32 screen defers these rows
+        # to the exact re-scoring, and correct still equals the reference
+        rng = np.random.default_rng(72)
+        base = rng.normal(0.0, 3.0, (5, 3))
+        points = np.concatenate([base, base + 1e-9])
+        i, j = np.triu_indices(10, 1)
+        X = np.concatenate([base + rng.normal(0.0, 1e-9, base.shape),
+                            (points[i] + points[j]) / 2, rng.normal(0.0, 3.0, (40, 3))])
+        model = Model(points=points, labels=rng.integers(5, size=10),
+                      source_classes=np.tile(np.arange(5), 2), n_classes=5, k=2)
+        if scaled:
+            scaler = ScalerParams(mean=[5.0, -3.0, 0.25], scale=[2.0, 0.5, 8.0])
+            model, X = replace(model, scaler=scaler), X * scaler.scale + scaler.mean
+        train = Dataset(X=X, y=rng.integers(5, size=X.shape[0]), n_classes=5)
+        received = []
+        exact = _nearest.nearest_among
+
+        def counting(Q, P, cand):
+            received.append(Q.shape[0])
+            return exact(Q, P, cand)
+
+        monkeypatch.setattr(_nearest, "nearest_among", counting)
+        once = correct(model, train)
+        assert sum(received) == X.shape[0]  # each generator has a twin 1e-9 away
+        assert once == multi_pass_correct(model, train)
+        assert correct(once, train) == multi_pass_correct(once, train)
 
     def test_training_accuracy_non_decreasing(self):
         rng = np.random.default_rng(8)
@@ -876,6 +908,9 @@ class TestSerialization:
             f'{{"version":3,"d":1,"n_classes":1,"k":1,{gen}}}',
             f'{{"version":"2","d":1,"n_classes":1,"k":1,{gen}}}',
             f'{{"version":1,"d":2,"n_classes":2,"k":1,{gen}}}',
+            # otherwise a valid version-2 document: 2.0 == 2, but JSON 2.0 is a float
+            '{"version":2.0,"d":1,"n_classes":1,"k":1,"labels":[0],"source_classes":[0],'
+            '"points":"AAAAAAAAAAA="}',
         ):
             with pytest.raises(ModelVersionError, match="expected 2; refit") as info:
                 load_model(text)
