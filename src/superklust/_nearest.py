@@ -89,12 +89,13 @@ def _gamma(n: int, eps: float) -> float:
     return n * eps / (1.0 - n * eps)
 
 
-def rounding_bound(x_norms, p_max: float, d: int, screen=np.float64) -> np.ndarray:
+def rounding_bound(x_norms, p_max, d: int, screen=np.float64) -> np.ndarray:
     """Per query norm (an array of them, or one float), the gap between
     two screen values computed in the screen dtype (np.float64 or
     np.float32) above which their order is the order of the sites'
     explicit float64 distances; inf where the screen can overflow or a
-    norm is not finite."""
+    norm is not finite. p_max, the largest site norm, may be a column
+    of them, for one row of bounds each."""
     eps, tiny, safe_reach = _FORMATS[screen]
     explicit = _gamma(d + 2, _EPS64)
     screened = explicit if screen is np.float64 else _gamma(d + 5, eps)
@@ -107,8 +108,9 @@ def rounding_bound(x_norms, p_max: float, d: int, screen=np.float64) -> np.ndarr
 
 
 def exact_sq_dists(x: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Explicit-difference squared distances from one query to each row
-    of P: the reference the screen is certified against."""
+    """Explicit-difference squared distances from one query x to each
+    row of P, or from each row of x to the paired row of P: the
+    reference the screen is certified against."""
     return np.square(P - x).sum(axis=1)
 
 

@@ -171,16 +171,16 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _below_one(args, *flags: str) -> bool:
-    """Whether one of these integer flags is below 1; the first is reported."""
-    bad = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) < 1]
+def _below(args, least: int, *flags: str) -> bool:
+    """Whether one of these integer flags is below least; the first is reported."""
+    bad = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) < least]
     if bad:
-        _err(f"{bad[0]} must be >= 1")
+        _err(f"{bad[0]} must be >= {least}")
     return bool(bad)
 
 
 def cmd_fit(args) -> int:
-    if _below_one(args, "--k", "--restarts", "--max-iter"):
+    if _below(args, 1, "--k", "--restarts", "--max-iter") or _below(args, 0, "--seed"):
         return 2
     ds = datasets.load_csv(
         args.data, label_column=_parse_label_col(args.label_col), has_header=args.has_header
@@ -253,10 +253,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if _below_one(args, "--k", "--restarts", "--knn-neighbors", "--repetitions"):
-        return 2
-    if args.warmup < 0:
-        _err("--warmup must be >= 0")
+    counts = ("--k", "--restarts", "--knn-neighbors", "--repetitions")
+    if _below(args, 1, *counts) or _below(args, 0, "--seed", "--warmup"):
         return 2
     from .bench import BenchConfig, emit_report, run_benchmark
 

@@ -24,7 +24,9 @@ class KMeansConfig:
     k is the number of clusters requested per class; the fit may return
     fewer centers when clusters empty out or the data has fewer distinct
     rows than k. Restart r of a run uses seed + r, so results are fully
-    reproducible and restart 0 reproduces the single-restart run.
+    reproducible and restart 0 reproduces the single-restart run. k,
+    max_iter and n_restarts are integers >= 1 and seed one >= 0; numpy
+    integers are stored as int, bools refused.
     """
 
     k: int
@@ -33,12 +35,11 @@ class KMeansConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.n_restarts < 1:
-            raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
+        for name, least in (("k", 1), ("max_iter", 1), ("n_restarts", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))  # frozen; numpy integers wrap
 
 
 @dataclass
@@ -73,14 +74,16 @@ def kmeans_pp_init(data, k: int, seed) -> np.ndarray | list[np.ndarray]:
     The first center is drawn uniformly; each later center is a data row
     drawn with probability proportional to its squared distance to the
     nearest already-chosen center, so already-chosen rows have zero
-    selection weight. Deterministic given seed. Given a sequence of R
-    seeds, returns one matrix per seed, drawn together: one (n x d) .
-    (d x R) GEMM per step, and each draw keeps its own random stream,
-    rounding bound, exact recompute near zero and inverse-CDF draw. The
-    GEMM's weights can differ from a lone seed's GEMV in their last
-    bits, which changes a draw only if its target lies that close to an
-    interval's edge. Raises ValueError when the squared distances
-    overflow float64, as no draw is defined then.
+    selection weight. A draw aims at u times the last cumulative weight,
+    so it lands on a row of positive weight. Deterministic given seed.
+    Given a sequence of R seeds, returns one matrix per seed, drawn
+    together from one (R, n) array of weights: per step one (n x d) .
+    (d x R) GEMM, rounding bound, exact recompute of the weights near
+    zero and cumulative sum. Only each seed's random stream and
+    inverse-CDF draw stay its own. The GEMM's weights can differ from a
+    lone seed's GEMV in their last bits, which changes a draw only if
+    its target lies that close to an interval's edge. Raises ValueError
+    when the squared distances overflow float64, as no draw is defined.
     """
     data = _as_matrix(data, "data")
     if k < 1:
@@ -95,24 +98,22 @@ def kmeans_pp_init(data, k: int, seed) -> np.ndarray | list[np.ndarray]:
         # bound of 0 are recomputed, so the chosen row and its duplicates weigh 0.
         with np.errstate(over="ignore", invalid="ignore"):  # the draw checks for inf
             d2 = x_sq - 2.0 * np.ascontiguousarray((data @ data[idx].T).T) + x_sq[idx, None]
-            for r, i in enumerate(idx):
-                near = ~(d2[r] > rounding_bound(x_norms, x_norms[i], data.shape[1]))
-                d2[r, near] = exact_sq_dists(data[i], data[near])
+            r, j = np.nonzero(~(d2 > rounding_bound(x_norms, x_norms[idx, None], data.shape[1])))
+            d2[r, j] = exact_sq_dists(data[idx[r]], data[j])
         return d2
 
     chosen = np.empty((len(rngs), min(k, n)), dtype=np.intp)
     chosen[:, 0] = [rng.integers(n) for rng in rngs]
     closest = sq_dists_to(chosen[:, 0])
     for i in range(1, chosen.shape[1]):
+        cum = np.cumsum(closest, axis=1)
+        if not np.isfinite(cum[:, -1]).all():
+            raise ValueError("k-means++: squared distances between rows overflow float64")
         for r, rng in enumerate(rngs):
-            total = closest[r].sum()
-            if not np.isfinite(total):
-                raise ValueError("k-means++: squared distances between rows overflow float64")
-            if total > 0:
+            if cum[r, -1] > 0:
                 # Inverse-CDF draw; side="right" skips zero-weight rows whose
                 # cumulative value ties the one before them.
-                cum = np.cumsum(closest[r])
-                chosen[r, i] = np.searchsorted(cum, rng.random() * total, side="right")
+                chosen[r, i] = np.searchsorted(cum[r], rng.random() * cum[r, -1], side="right")
             else:
                 # Every remaining row coincides with a chosen center; any row
                 # will do, duplicates get dropped as empty clusters in lloyd().
@@ -137,8 +138,12 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
     one row per center so that a row is updated in place; select takes
     their transposed view. Only a cluster that a sample left or joined
     gets a new mean and new score rows: the others would sum the same
-    rows in the same order, so their centers stay bit for bit. select
-    certifies each assignment, so it is the one a full recompute gives.
+    rows in the same order, so their centers stay bit for bit. Their
+    rows are gathered once, grouped by a stable sort on the cluster, and
+    each group is summed row by row in data order. select certifies each
+    assignment, so it is the one a full recompute gives; its bound is
+    remade only when the largest center norm outgrows the one it was
+    made for, as the bound grows with that norm.
     """
     data = _as_matrix(data, "data")
     centers = _as_matrix(init_centers, "init_centers").copy()  # updated in place
@@ -156,8 +161,11 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
     with np.errstate(over="ignore", invalid="ignore"):  # as in _nearest.k_nearest_sets
         p_sq = sq_norms(centers)
         scores = 2.0 * centers @ data.T - p_sq[:, None]
+        bound_norm = -np.inf  # the largest center norm the bound was made for
         while True:
-            bound = rounding_bound(x_norms, float(np.sqrt(p_sq.max())), data.shape[1])
+            p_max = float(np.sqrt(p_sq.max()))
+            if p_max > bound_norm:
+                bound_norm, bound = p_max, rounding_bound(x_norms, p_max, data.shape[1])
             assign = select(scores.T, bound, data, centers)
             if np.array_equal(assign, prev_assign) or iterations >= max_iter:
                 break  # a repeat is an exact fixed point: centers are its means
@@ -165,16 +173,20 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
             moved = assign != prev_assign
             touched = np.zeros(centers.shape[0] + 1, dtype=bool)
             touched[assign[moved]] = touched[prev_assign[moved]] = True
-            keep = np.bincount(assign, minlength=centers.shape[0]) > 0
-            if not keep.all():
+            counts = np.bincount(assign, minlength=centers.shape[0])
+            if not (keep := counts > 0).all():
                 assign = (np.cumsum(keep) - 1)[assign]
-                centers, p_sq, scores = centers[keep], p_sq[keep], scores[keep]
+                centers, p_sq, scores, counts = (a[keep] for a in (centers, p_sq, scores, counts))
             touched = touched[:-1][keep]
-            for j in np.flatnonzero(touched):  # rows in data order, summed as mean() does
-                rows = data[assign == j]
-                centers[j] = np.add.reduce(rows, axis=0) / rows.shape[0]
-            p_sq[touched] = sq_norms(centers[touched])
-            scores[touched] = 2.0 * centers[touched] @ data.T - p_sq[touched, None]
+            rows = np.flatnonzero(touched[assign])  # touched clusters' rows, grouped below
+            grouped = data[rows[np.argsort(assign[rows], kind="stable")]]
+            ids = np.flatnonzero(touched)
+            ends = np.cumsum(counts[ids])
+            for j, start, stop in zip(ids, ends - counts[ids], ends):
+                centers[j] = np.add.reduce(grouped[start:stop], axis=0)  # in data order, as mean()
+            centers[ids] /= counts[ids, None]
+            p_sq[ids] = sq_norms(centers[ids])
+            scores[ids] = 2.0 * centers[ids] @ data.T - p_sq[ids, None]
             prev_assign = assign
             iterations += 1
 

@@ -72,8 +72,9 @@ def predict_oracle(model: Model, X) -> np.ndarray:
 
 def kmeans_pp_oracle(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     """k-means++ as kmeans_pp_init draws it for one seed, with one GEMV
-    per chosen center: same random stream, rounding bound and exact
-    recompute of the weights near zero."""
+    per chosen center: same random stream, rounding bound, exact
+    recompute of the weights near zero and draw against the last
+    cumulative weight."""
     n = data.shape[0]
     rng = np.random.default_rng(seed)
     x_sq = np.einsum("ij,ij->i", data, data)
@@ -89,9 +90,9 @@ def kmeans_pp_oracle(data: np.ndarray, k: int, seed: int) -> np.ndarray:
     chosen = [int(rng.integers(n))]
     closest = sq_dists_to(chosen[0])
     for _ in range(1, min(k, n)):
-        total = closest.sum()
-        if total > 0:
-            idx = int(np.searchsorted(np.cumsum(closest), rng.random() * total, side="right"))
+        cum = np.cumsum(closest)
+        if cum[-1] > 0:
+            idx = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
         else:
             idx = int(rng.integers(n))
         chosen.append(idx)

@@ -152,9 +152,10 @@ class TestFit:
             (("--k", "0"), "error: --k must be >= 1"),
             (("--restarts", "0"), "error: --restarts must be >= 1"),
             (("--max-iter", "0"), "error: --max-iter must be >= 1"),
+            (("--seed", "-1"), "error: --seed must be >= 0"),
             (("--tol", "1e-6"), "superklust: error: unrecognized arguments: --tol 1e-6"),
         ],
-        ids=["k", "restarts", "max-iter", "tol"],
+        ids=["k", "restarts", "max-iter", "seed", "tol"],
     )
     def test_bad_k_exits_2(self, tmp_path, flags, message):
         data = synth(tmp_path, "moons", "--n", "20")
@@ -539,6 +540,13 @@ class TestBench:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [f"error: {flag} must be >= 1"]
+
+    @pytest.mark.parametrize("flag", ["--seed", "--warmup"])
+    def test_negative_seed_or_warmup_exits_2_before_any_cell(self, flag):
+        proc = run_cli("bench", "--datasets", "blobs", "--repetitions", "1", flag, "-1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [f"error: {flag} must be >= 0"]
 
 
 class TestFetch:

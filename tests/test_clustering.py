@@ -74,6 +74,26 @@ class TestKMeansPlusPlusInit:
         with pytest.raises(ValueError, match="k must be"):
             kmeans_pp_init(np.array([[1.0]]), k=0, seed=0)
 
+    def test_draw_never_passes_the_last_row(self, monkeypatch):
+        # The weights are 1e16 and 998 ones. Added in sequence, each one rounds
+        # away; the pairwise sum keeps most of them. A draw of u just below 1
+        # against that larger sum would aim past the last cumulative weight.
+        class EdgeStream:
+            def integers(self, n):
+                return 0
+
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        data = np.zeros((1000, 3))
+        data[1:, 0] = 1.0
+        data[1, 0] = 1e8
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: EdgeStream())
+        np.testing.assert_array_equal(kmeans_pp_init(data, k=2, seed=0), data[[0, 1]])
+        for centers in kmeans_pp_init(data, k=2, seed=[0, 1]):
+            np.testing.assert_array_equal(centers, data[[0, 1]])
+        np.testing.assert_array_equal(kmeans_pp_oracle(data, 2, 0), data[[0, 1]])
+
     @pytest.mark.parametrize("seed", range(3))
     def test_overflowing_distances(self, seed):
         # finite rows whose squared distances exceed float64: no weight
@@ -280,6 +300,35 @@ class TestAgainstOracle:
             emptied += result.centers.shape[0] < lloyd(data, init, 1).centers.shape[0]
         assert emptied > 0
 
+    def test_center_sums_keep_data_order(self):
+        # Two clusters, far apart in feature 0, whose rows interleave in data
+        # order. Feature 1 holds 1e16, 1 and -1e16, so its float sums depend on
+        # the order of the rows: only data order gives the oracle's means.
+        rng = np.random.default_rng(43)
+        for _ in range(50):
+            n = int(rng.integers(20, 60))
+            data = np.stack(
+                [rng.choice([-1e18, 1e18], n), rng.choice([1e16, 1.0, -1e16, 3.0], n)], axis=1
+            )
+            init = np.array([[-1e18, 0.0], [1e18, 0.0]])
+            for max_iter in (1, 100):
+                assert_same_run(lloyd(data, init, max_iter), lloyd_oracle(data, init, max_iter))
+
+    def test_restarts_drawn_together_on_heavy_duplicates(self):
+        # Few distinct rows, many copies of each: the weights near zero are
+        # recomputed for every restart at once, and some restarts run out of
+        # positive weight and draw uniformly.
+        rng = np.random.default_rng(44)
+        for _ in range(40):
+            shape = (int(rng.integers(1, 6)), int(rng.choice([1, 2, 16])))
+            distinct = rng.integers(-3, 4, size=shape).astype(float)
+            data = distinct[rng.integers(shape[0], size=int(rng.integers(5, 120)))]
+            k, seeds = int(rng.integers(1, 10)), rng.integers(1 << 32, size=int(rng.integers(2, 6)))
+            together = kmeans_pp_init(data, k, seeds.tolist())
+            for seed, centers in zip(seeds.tolist(), together):
+                np.testing.assert_array_equal(centers, kmeans_pp_init(data, k, seed))
+                np.testing.assert_array_equal(centers, kmeans_pp_oracle(data, k, seed))
+
 
 class TestKMeansConfigValidation:
     @pytest.mark.parametrize(
@@ -288,8 +337,26 @@ class TestKMeansConfigValidation:
             {"k": 0},
             {"k": 1, "max_iter": 0},
             {"k": 1, "n_restarts": 0},
+            {"k": 2.5},
+            {"k": "3"},
+            {"k": True},
+            {"k": np.float64(2.0)},
+            {"k": 1, "max_iter": 10.0},
+            {"k": 1, "n_restarts": 1.5},
+            {"k": 1, "n_restarts": False},
+            {"k": 1, "seed": 0.5},
+            {"k": 1, "seed": -1},
+            {"k": 1, "seed": None},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\w+ must be an integer >= [01], got "):
             KMeansConfig(**kwargs)
+
+    def test_accepts_python_and_numpy_integers(self):
+        config = KMeansConfig(k=np.int32(3), max_iter=np.int64(5), n_restarts=2, seed=np.uint8(250))
+        assert config == KMeansConfig(k=3, max_iter=5, n_restarts=2, seed=250)
+        assert all(type(v) is int for v in (config.k, config.max_iter, config.seed))
+        data = np.arange(12.0).reshape(6, 2)
+        want = fit_kmeans(data, KMeansConfig(k=3, max_iter=5, n_restarts=2, seed=250))
+        assert_same_run(fit_kmeans(data, config), want)
