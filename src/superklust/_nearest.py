@@ -144,7 +144,7 @@ def nearest_among(X: np.ndarray, P: np.ndarray, cand: np.ndarray, k: int = 1) ->
         step = block_rows(P.shape[1])
         for start in range(0, rows.size, step):
             part = slice(start, start + step)
-            d2[part] = np.square(P[sites[part]] - X[rows[part]]).sum(axis=1)
+            d2[part] = exact_sq_dists(X[rows[part]], P[sites[part]])
     first = np.searchsorted(rows, np.arange(X.shape[0]))
     # by row, then distance; the stable sort keeps tied sites in index order
     return sites[np.lexsort((d2, rows))[first[:, None] + np.arange(k)]]

@@ -8,6 +8,7 @@ import os
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .datasets import (
     standardize_apply,
     standardize_fit,
 )
-from .tessellation import evaluate, fit, predict, to_discriminants
+from .tessellation import fit, predict, to_discriminants
 
 __all__ = [
     "TimingStat",
@@ -39,6 +40,7 @@ __all__ = [
 ]
 
 SYNTHETIC_NAMES = ("moons", "circles", "blobs")
+ALGORITHMS = ("superklust", "knn")
 
 
 @dataclass
@@ -230,30 +232,24 @@ def _environment() -> dict:
 
 
 def _run_cell(algo: str, train: Dataset, test: Dataset, config: BenchConfig) -> BenchCell:
-    reps, warm = config.repetitions, config.warmup
+    """Time the training step, score its last model once, then time
+    inference. Only the last model is kept: a KNN model copies the
+    training rows."""
     if algo == "superklust":
         kcfg = KMeansConfig(k=config.k, n_restarts=config.n_restarts, seed=config.seed)
-        holder = {}
-
-        def train_thunk():
-            holder["model"] = fit(train, kcfg)
-
-        train_stat = time_op(train_thunk, reps, warm)
-        bank = to_discriminants(holder["model"])
-        accuracy = evaluate(bank, test)
-        infer_stat = time_op(lambda: predict(bank, test.X), reps, warm)
+        train_step = partial(fit, train, kcfg)
+        classifier = lambda model: partial(predict, to_discriminants(model))
     elif algo == "knn":
-        holder = {}
-
-        def knn_thunk():
-            holder["model"] = knn_fit(train, config.knn_neighbors)
-
-        train_stat = time_op(knn_thunk, reps, warm)
-        model = holder["model"]
-        accuracy = float((knn_predict(model, test.X) == test.y).mean())
-        infer_stat = time_op(lambda: knn_predict(model, test.X), reps, warm)
+        train_step = partial(knn_fit, train, config.knn_neighbors)
+        classifier = lambda model: partial(knn_predict, model)
     else:
         raise ValueError(f"unknown algorithm {algo!r}; expected 'superklust' or 'knn'")
+    reps, warm = config.repetitions, config.warmup
+    last = {}
+    train_stat = time_op(lambda: last.update(model=train_step()), reps, warm)
+    classify = classifier(last["model"])
+    accuracy = float((classify(test.X) == test.y).mean())
+    infer_stat = time_op(lambda: classify(test.X), reps, warm)
     return BenchCell(accuracy=accuracy, train=train_stat, infer=infer_stat)
 
 

@@ -1,9 +1,14 @@
 """Command-line front end: synthesize data, fit/save models, predict,
 export decision grids, benchmark, fetch datasets.
 
-Exit codes: 0 success, 1 runtime/IO failure, 2 usage error. The
-benchmark harness and the fetcher are imported inside their handlers,
-so fit, predict, grid and synth never load them.
+Exit codes: 0 success, 1 runtime/IO failure, 2 usage error. Handlers
+raise UsageError for a bad flag value (exit 2), including a request for
+more than MAX_VALUES float64 values, and ValueError, OSError,
+RuntimeError or MemoryError for any other failure (exit 1); main alone
+prints the one stderr line `error: ...`, which for bench and fetch
+--verify lists every failure. The benchmark harness and the fetcher are
+imported inside their handlers, so fit, predict, grid and synth never
+load them.
 """
 
 from __future__ import annotations
@@ -19,9 +24,31 @@ import numpy as np
 from . import datasets, tessellation
 from .clustering import KMeansConfig
 
+# The most float64 values, 512 MiB, that one request may need: a grid,
+# a synthetic dataset, or fit's k-means++ weights of every restart.
+MAX_VALUES = 1 << 26
 
-def _err(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
+
+class UsageError(ValueError):
+    """A bad flag value: main reports it with exit code 2."""
+
+
+def _require(ok, message: str) -> None:
+    if not ok:
+        raise UsageError(message)
+
+
+def _at_least(args, least: int, *flags: str) -> None:
+    """Refuse the first of these integer flags that is below least."""
+    for flag in flags:
+        _require(getattr(args, flag[2:].replace("-", "_")) >= least, f"{flag} must be >= {least}")
+
+
+def _within_budget(values: int, request: str) -> None:
+    """Refuse a request for more than MAX_VALUES float64 values."""
+    _require(
+        values <= MAX_VALUES, f"{request} would take {values} float64 values, over 2^26 (512 MiB)"
+    )
 
 
 def _data_dir(args) -> str:
@@ -137,27 +164,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     if args.kind in ("moons", "circles"):
-        if args.n < 2 or args.n % 2 != 0:
-            _err("--n must be an even integer >= 2")
-            return 2
-        if args.noise < 0:
-            _err("--noise must be nonnegative")
-            return 2
-        if args.kind == "circles" and not 0.0 < args.factor < 1.0:
-            _err("--factor must be in (0, 1)")
-            return 2
+        _require(args.n >= 2 and args.n % 2 == 0, "--n must be an even integer >= 2")
+        _require(not args.noise < 0, "--noise must be nonnegative")
+        _require(args.kind == "moons" or 0.0 < args.factor < 1.0, "--factor must be in (0, 1)")
+        dim = 2
     else:
-        if args.sigma <= 0:
-            _err("--sigma must be positive")
-            return 2
-        if args.classes < 1 or args.dim < 1:
-            _err("--classes and --dim must be positive")
-            return 2
-        if args.n < 1 or args.n % args.classes != 0:
-            _err("--n must be a positive multiple of --classes")
-            return 2
+        _require(not args.sigma <= 0, "--sigma must be positive")
+        _require(args.classes >= 1 and args.dim >= 1, "--classes and --dim must be positive")
+        _require(
+            args.n >= 1 and args.n % args.classes == 0,
+            "--n must be a positive multiple of --classes",
+        )
+        _within_budget(args.classes * args.dim, f"{args.classes} x {args.dim} blob centers")
+        dim = args.dim
+    _within_budget(args.n * (dim + 1), f"--n {args.n} rows of {dim + 1} columns")
 
     if args.kind == "moons":
         ds = datasets.make_moons(args.n, args.noise, args.seed)
@@ -168,23 +190,15 @@ def cmd_synth(args) -> int:
         ds = datasets.make_gaussian_blobs(args.n // args.classes, centers, args.sigma, args.seed + 1)
     datasets.write_dataset_csv(args.out, ds, header=args.header)
     print(f"wrote {ds.n} rows x {ds.d + 1} columns to {args.out}")
-    return 0
 
 
-def _below(args, least: int, *flags: str) -> bool:
-    """Whether one of these integer flags is below least; the first is reported."""
-    bad = [flag for flag in flags if getattr(args, flag[2:].replace("-", "_")) < least]
-    if bad:
-        _err(f"{bad[0]} must be >= {least}")
-    return bool(bad)
-
-
-def cmd_fit(args) -> int:
-    if _below(args, 1, "--k", "--restarts", "--max-iter") or _below(args, 0, "--seed"):
-        return 2
+def cmd_fit(args) -> None:
+    _at_least(args, 1, "--k", "--restarts", "--max-iter")
+    _at_least(args, 0, "--seed")
     ds = datasets.load_csv(
         args.data, label_column=_parse_label_col(args.label_col), has_header=args.has_header
     )
+    _within_budget(args.restarts * ds.n, f"--restarts {args.restarts} x {ds.n} rows")
     scaler = datasets.standardize_fit(ds) if args.standardize else None
     train = ds if scaler is None else datasets.standardize_apply(scaler, ds)
     config = KMeansConfig(
@@ -195,7 +209,6 @@ def cmd_fit(args) -> int:
     accuracy = tessellation.evaluate(model, ds)  # the model scales the raw rows itself
     print(f"generators: {len(model.labels)}")
     print(f"training accuracy: {accuracy:.4f}")
-    return 0
 
 
 def _csv_cell(token: str) -> str:
@@ -210,7 +223,7 @@ def _label_names(model) -> tuple[str, ...]:
     return model.label_names or tuple(map(str, range(model.n_classes)))
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     model = tessellation.load_model(Path(args.model).read_bytes())
     names = _label_names(model)
     truth = None
@@ -230,16 +243,14 @@ def cmd_predict(args) -> int:
     _write_out(args.out, "label\n" + "".join(cells[lab] for lab in labels.tolist()))
     if truth is not None:
         print(f"accuracy: {float((labels == truth).mean()):.4f}")
-    return 0
 
 
-def cmd_grid(args) -> int:
-    if not (args.x_min < args.x_max and args.y_min < args.y_max):
-        _err("--x-min/--y-min must be less than --x-max/--y-max")
-        return 2
-    if args.resolution < 2:
-        _err("--resolution must be >= 2")
-        return 2
+def cmd_grid(args) -> None:
+    widths = (args.x_max - args.x_min, args.y_max - args.y_min)
+    _require(all(w > 0 for w in widths), "--x-min/--y-min must be less than --x-max/--y-max")
+    _require(all(w < np.inf for w in widths), "the grid's width and height must be finite")
+    _require(args.resolution >= 2, "--resolution must be >= 2")
+    _within_budget(2 * args.resolution**2, f"--resolution {args.resolution}")
     model = tessellation.load_model(Path(args.model).read_bytes())
     bank = tessellation.to_discriminants(model)
     xy, labels = datasets.decision_grid(
@@ -249,15 +260,18 @@ def cmd_grid(args) -> int:
     datasets.write_grid_csv(
         sys.stdout if args.out == "-" else args.out, xy, [cells[lab] for lab in labels.tolist()]
     )
-    return 0
 
 
-def cmd_bench(args) -> int:
-    counts = ("--k", "--restarts", "--knn-neighbors", "--repetitions")
-    if _below(args, 1, *counts) or _below(args, 0, "--seed", "--warmup"):
-        return 2
-    from .bench import BenchConfig, emit_report, run_benchmark
+def cmd_bench(args) -> None:
+    _at_least(args, 1, "--k", "--restarts", "--knn-neighbors", "--repetitions")
+    _at_least(args, 0, "--seed", "--warmup")
+    from .bench import ALGORITHMS, BenchConfig, emit_report, run_benchmark
 
+    names = [s for s in args.datasets.split(",") if s]
+    algos = [s for s in args.algos.split(",") if s]
+    _require(names and algos, "--datasets and --algos must be nonempty")
+    unknown = sorted(set(algos) - set(ALGORITHMS))
+    _require(not unknown, f"unknown algorithm(s): {', '.join(unknown)}")
     config = BenchConfig(
         k=args.k,
         seed=args.seed,
@@ -268,52 +282,39 @@ def cmd_bench(args) -> int:
         knn_neighbors=args.knn_neighbors,
         data_dir=_data_dir(args),
     )
-    names = [s for s in args.datasets.split(",") if s]
-    algos = [s for s in args.algos.split(",") if s]
-    if not names or not algos:
-        _err("--datasets and --algos must be nonempty")
-        return 2
     report = run_benchmark(names, algos, config)
     _write_out(args.out, emit_report(report, format=args.format))
-    failures = [key for key, cell in report.cells.items() if cell.error is not None]
-    for name, algo in failures:
-        _err(f"cell ({name}, {algo}) failed: {report.cells[(name, algo)].error}")
-    return 1 if failures else 0
+    failed = [f"cell ({n}, {a}) failed: {c.error}" for (n, a), c in report.cells.items() if c.error]
+    if failed:
+        raise RuntimeError("; ".join(failed))
 
 
-def cmd_fetch(args) -> int:
+def cmd_fetch(args) -> None:
     from . import fetch
 
     data_dir = _data_dir(args)
     if args.verify:
         bad = fetch.verify_checksums(data_dir)
         if bad:
-            for rel in bad:
-                _err(f"checksum mismatch: {rel}")
-            return 1
+            raise fetch.ChecksumMismatch(f"checksum mismatch: {', '.join(bad)}")
         print("all checksums match")
-        return 0
-    if args.names and args.all:
-        _err("give dataset names or --all, not both")
-        return 2
+        return
+    _require(not (args.names and args.all), "give dataset names or --all, not both")
     names = list(fetch.ALL_DATASETS) if args.all else (args.names or list(fetch.DEFAULT_DATASETS))
     unknown = sorted(set(names) - set(fetch.ALL_DATASETS))
-    if unknown:
-        _err(f"unknown dataset(s): {', '.join(unknown)}")
-        return 2
+    _require(not unknown, f"unknown dataset(s): {', '.join(unknown)}")
     fetched = fetch.fetch_datasets(names, data_dir, force=args.force, progress=print)
     print(f"fetched: {', '.join(fetched) if fetched else 'nothing (all present)'}")
-    return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        _err(str(exc))
-        return 1
+        args.handler(args)
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2 if isinstance(exc, UsageError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -74,6 +74,8 @@ class _Manifest:
         self.entries = {}
         if self.path.exists():
             self.entries = json.loads(self.path.read_text())
+            if not isinstance(self.entries, dict):
+                raise ValueError(f"{self.path}: not a checksum manifest (a JSON object)")
 
     def check(self, data_dir: Path, path: Path):
         rel = str(path.relative_to(data_dir))

@@ -215,7 +215,7 @@ class DiscriminantBank:
     forms is the (d+1, G) float32 matrix whose column j is generator j's
     form [w_j; b_j], rounded from float64 (a form beyond the float32
     range saturates at its largest finite value; such a bank certifies
-    no row); weights and biases are views of it, not copies. points is
+    no row); weights is a view of it, not a copy. points is
     the model's read-only float64 generator matrix itself, which the
     exact re-scoring uses; p_max, the largest generator norm, is derived
     from it for the certificate. labels holds each generator's class in
@@ -236,11 +236,6 @@ class DiscriminantBank:
     def weights(self) -> np.ndarray:
         """The (G, d) weights w = 2 g."""
         return self.forms[:-1].T
-
-    @property
-    def biases(self) -> np.ndarray:
-        """The (G,) biases b = -||g||^2."""
-        return self.forms[-1]
 
 
 def assemble(per_class_centers: list[np.ndarray], k: int | None = None) -> Model:

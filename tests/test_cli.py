@@ -1,9 +1,11 @@
 import io
 import json
+import os
 import re
 import shlex
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -609,3 +611,237 @@ class TestHelpAndDispatch:
         assert "(default: 10)" in proc.stdout
         proc = run_cli("bench", "--help")
         assert "(default: superklust,knn)" in proc.stdout
+
+
+# The bad inputs of the error contract, by path under one directory.
+BAD_FILES = {
+    "empty.csv": b"",
+    "header.csv": b"x0,x1,label\n",
+    "ragged.csv": b"0,0,a\n1,1,b\n2,b\n",
+    "latin1.csv": b"0,0,a\n1,0,caf\xe9\n",
+    "nan.csv": b"0,0,a\nnan,1,b\n",
+    "inf.csv": b"0,0,a\n1,-inf,b\n",
+    # finite rows whose squared distances overflow float64
+    "squares.csv": b"1e160,0,a\n0,1,a\n1,1,a\n2,2,b\n3,1,b\n1e160,1,b\n",
+    # finite rows whose standard deviation overflows float64
+    "spread.csv": b"1e308,0,a\n-1e308,1,a\n5,5,b\n6,5,b\n",
+    "digits.csv": b"1" + b"0" * 300 + b",0,a\n0,1,a\n5,5,b\n6,5,b\n",
+    "digits_features.csv": b"1" + b"0" * 300 + b",0\n",
+    "far_features.csv": b"1e200,0\n",
+    "unknown_label.csv": b"0,0,a\n5,5,z\n",
+    "three_features.csv": b"0,0,0,a\n5,5,5,b\n",
+    "text.json": b"not a model\n",
+    "list.json": b"[2]\n",
+    "latin1.json": b"\xe9\n",
+    "manifest_text/checksums.json": b"not json",
+    "manifest_list/checksums.json": b"[]",
+    "manifest_latin1/checksums.json": b"\xe9",
+    "manifest_dir/checksums.json/f": b"",
+    "mismatch/checksums.json": json.dumps({"f": "0" * 64, "g": "0" * 64}).encode(),
+    "mismatch/f": b"f",
+    "mismatch/g": b"g",
+    "latin1_data/letter/train.csv": b"caf\xe9,0\n",
+    "latin1_data/letter/test.csv": b"a,0\n",
+}
+
+# (id, exit code, argv); {d} is the directory of BAD_FILES, {model} a 2-D
+# model of labels a and b, {scaled} one whose first feature's scale is
+# about 5e-151, {model3} a 3-D one.
+CONTRACT_CASES = [
+    ("fit-empty", 1, "fit --data {d}/empty.csv --out {d}/m.json"),
+    ("fit-header-only", 1, "fit --data {d}/header.csv --has-header --out {d}/m.json"),
+    ("fit-ragged", 1, "fit --data {d}/ragged.csv --out {d}/m.json"),
+    ("fit-non-utf8", 1, "fit --data {d}/latin1.csv --out {d}/m.json"),
+    ("fit-nan", 1, "fit --data {d}/nan.csv --out {d}/m.json"),
+    ("fit-inf", 1, "fit --data {d}/inf.csv --out {d}/m.json"),
+    ("fit-squares-overflow", 1, "fit --data {d}/squares.csv --k 2 --out {d}/m.json"),
+    ("fit-spread-overflow", 1, "fit --data {d}/spread.csv --standardize --out {d}/m.json"),
+    ("fit-300-digits", 1, "fit --data {d}/digits.csv --k 2 --out {d}/m.json"),
+    ("fit-data-dir", 1, "fit --data {d} --out {d}/m.json"),
+    ("fit-data-no-parent", 1, "fit --data {d}/absent/x.csv --out {d}/m.json"),
+    ("fit-out-dir", 1, "fit --data {d}/train.csv --k 1 --out {d}"),
+    ("fit-out-no-parent", 1, "fit --data {d}/train.csv --k 1 --out {d}/absent/m.json"),
+    ("fit-k-0", 2, "fit --data {d}/train.csv --k 0 --out {d}/m.json"),
+    ("predict-empty", 1, "predict --model {model} --data {d}/empty.csv"),
+    ("predict-header-only", 1, "predict --model {model} --data {d}/header.csv --has-header"),
+    ("predict-ragged", 1, "predict --model {model} --data {d}/ragged.csv --label-col -1"),
+    ("predict-non-utf8", 1, "predict --model {model} --data {d}/latin1.csv --label-col -1"),
+    ("predict-nan", 1, "predict --model {model} --data {d}/nan.csv --label-col -1"),
+    ("predict-inf", 1, "predict --model {model} --data {d}/inf.csv --label-col -1"),
+    ("predict-scale-overflow", 1, "predict --model {scaled} --data {d}/far_features.csv"),
+    ("predict-300-digits", 1, "predict --model {scaled} --data {d}/digits_features.csv"),
+    ("predict-unknown-label", 1,
+     "predict --model {model} --data {d}/unknown_label.csv --label-col -1"),
+    ("predict-dimension", 1,
+     "predict --model {model} --data {d}/three_features.csv --label-col -1"),
+    ("predict-model-text", 1, "predict --model {d}/text.json --data {d}/train.csv"),
+    ("predict-model-list", 1, "predict --model {d}/list.json --data {d}/train.csv"),
+    ("predict-model-non-utf8", 1, "predict --model {d}/latin1.json --data {d}/train.csv"),
+    ("predict-model-dir", 1, "predict --model {d} --data {d}/train.csv"),
+    ("predict-data-dir", 1, "predict --model {model} --data {d}"),
+    ("predict-data-no-parent", 1, "predict --model {model} --data {d}/absent/x.csv"),
+    ("predict-out-dir", 1,
+     "predict --model {model} --data {d}/train.csv --label-col -1 --out {d}"),
+    ("predict-out-no-parent", 1,
+     "predict --model {model} --data {d}/train.csv --label-col -1 --out {d}/absent/p.csv"),
+    ("grid-model-text", 1, "grid --model {d}/text.json"),
+    ("grid-model-list", 1, "grid --model {d}/list.json"),
+    ("grid-model-non-utf8", 1, "grid --model {d}/latin1.json"),
+    ("grid-model-dir", 1, "grid --model {d}"),
+    ("grid-model-3d", 1, "grid --model {model3}"),
+    ("grid-out-dir", 1, "grid --model {model} --out {d}"),
+    ("grid-out-no-parent", 1, "grid --model {model} --out {d}/absent/g.csv"),
+    ("grid-nan", 2, "grid --model {model} --x-min nan"),
+    ("grid-inf", 2, "grid --model {model} --y-max inf"),
+    ("grid-width-overflow", 2, "grid --model {model} --x-min=-1e308 --x-max=1e308"),
+    ("grid-scale-overflow", 1, "grid --model {scaled} --x-max 1e300 --resolution 2"),
+    ("grid-resolution-1", 2, "grid --model {model} --resolution 1"),
+    ("synth-noise-nan", 1, "synth moons --noise nan --out {d}/s.csv"),
+    ("synth-noise-inf", 1, "synth circles --noise inf --out {d}/s.csv"),
+    ("synth-noise-overflow", 1, "synth moons --noise 1e308 --out {d}/s.csv"),
+    ("synth-sigma-inf", 1, "synth blobs --n 30 --sigma inf --out {d}/s.csv"),
+    ("synth-sigma-nan", 1, "synth blobs --n 30 --sigma nan --out {d}/s.csv"),
+    ("synth-n-odd", 2, "synth moons --n 7 --out {d}/s.csv"),
+    ("synth-out-dir", 1, "synth moons --out {d}"),
+    ("synth-out-no-parent", 1, "synth moons --out {d}/absent/s.csv"),
+    ("bench-unknown-algorithm", 2, "bench --datasets blobs --algos superklust,foo"),
+    ("bench-unknown-dataset", 1, "bench --datasets nosuch --repetitions 1 --warmup 0"),
+    ("bench-missing-dataset", 1,
+     "bench --datasets letter --data-dir {d} --repetitions 1 --warmup 0"),
+    ("bench-non-utf8", 1,
+     "bench --datasets letter --data-dir {d}/latin1_data --repetitions 1 --warmup 0"),
+    ("bench-out-dir", 1, "bench --datasets nosuch --repetitions 1 --warmup 0 --out {d}"),
+    ("bench-k-0", 2, "bench --datasets blobs --k 0"),
+    ("fetch-unknown", 2, "fetch nosuch --data-dir {d}"),
+    ("fetch-names-and-all", 2, "fetch letter --all --data-dir {d}"),
+    ("fetch-manifest-text", 1, "fetch --verify --data-dir {d}/manifest_text"),
+    ("fetch-manifest-list", 1, "fetch --verify --data-dir {d}/manifest_list"),
+    ("fetch-manifest-non-utf8", 1, "fetch --verify --data-dir {d}/manifest_latin1"),
+    ("fetch-manifest-dir", 1, "fetch --verify --data-dir {d}/manifest_dir"),
+    ("fetch-two-mismatches", 1, "fetch --verify --data-dir {d}/mismatch"),
+]
+
+# Requests far beyond cli.MAX_VALUES; {big} is 4096 rows of one class.
+OVERSIZED_CASES = [
+    ("grid-resolution", "grid --model {model} --resolution 100000"),
+    ("grid-resolution-300-digits", "grid --model {model} --resolution 1" + "0" * 300),
+    ("synth-moons-n", "synth moons --n 1000000000000 --out {d}/s.csv"),
+    ("synth-circles-n-300-digits", "synth circles --n 1" + "0" * 300 + " --out {d}/s.csv"),
+    ("synth-blobs-dim", "synth blobs --n 3 --classes 3 --dim 1000000000 --out {d}/s.csv"),
+    ("synth-blobs-classes", "synth blobs --n 100000000 --classes 100000000 --out {d}/s.csv"),
+    ("fit-restarts", "fit --data {d}/big.csv --k 2 --restarts 65536 --out {d}/m.json"),
+]
+
+# Runs cli.main with the address space capped at 1 GiB, so that a
+# request the budget misses fails at once instead of allocating.
+LIMITED_MAIN = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from superklust.cli import main\n"
+    "sys.exit(main(sys.argv[1:]))\n"
+)
+
+
+class TestErrorContract:
+    """Every bad input ends in exit code 1 or 2 and exactly one stderr
+    line, which starts with `error:`: no traceback, no warning."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("contract")
+        for rel, data in BAD_FILES.items():
+            (d / rel).parent.mkdir(parents=True, exist_ok=True)
+            (d / rel).write_bytes(data)
+        (d / "train.csv").write_text("0,0,a\n0.1,0,a\n5,5,b\n5.1,5,b\n")
+        (d / "tiny_scale.csv").write_text("0,0,a\n1e-150,1,a\n0,5,b\n1e-150,6,b\n")
+        (d / "big.csv").write_text("".join(f"{i},{i % 7},a\n" for i in range(4096)))
+        models = {"model": "train.csv", "scaled": "tiny_scale.csv"}
+        for name, data in models.items():
+            ds = load_csv(d / data, label_column=-1)
+            scaler = standardize_fit(ds) if name == "scaled" else None
+            train = ds if scaler is None else standardize_apply(scaler, ds)
+            model = replace(fit(train, KMeansConfig(k=1)), scaler=scaler)
+            (d / f"{name}.json").write_bytes(save_model(model))
+        ds = make_gaussian_blobs(5, [[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]], 1.0, seed=0)
+        (d / "model3.json").write_bytes(save_model(fit(ds, KMeansConfig(k=1))))
+        return {"d": str(d), **{m: str(d / f"{m}.json") for m in ("model", "scaled", "model3")}}
+
+    @staticmethod
+    def argv(template, paths):
+        return [token.format(**paths) for token in template.split()]
+
+    @pytest.mark.parametrize("code, template", [c[1:] for c in CONTRACT_CASES],
+                             ids=[c[0] for c in CONTRACT_CASES])
+    def test_one_error_line(self, paths, capsys, code, template):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(self.argv(template, paths)) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert [str(w.message) for w in caught] == []
+
+    def test_failures_share_the_line(self, paths, capsys):
+        assert cli.main(self.argv("fetch --verify --data-dir {d}/mismatch", paths)) == 1
+        assert capsys.readouterr().err == "error: checksum mismatch: f, g\n"
+        argv = self.argv("bench --datasets nosuch,letter --data-dir {d} --warmup 0", paths)
+        assert cli.main(argv) == 1
+        line = capsys.readouterr().err
+        assert line.count("\n") == 1
+        for cell in ("(nosuch, superklust)", "(nosuch, knn)", "(letter, superklust)",
+                     "(letter, knn)"):
+            assert f"cell {cell} failed: " in line
+
+    def test_unknown_algorithm_runs_no_cell(self, monkeypatch, capsys):
+        from superklust import bench
+
+        def no_cells(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "run_benchmark", no_cells)
+        assert cli.main(["bench", "--datasets", "blobs", "--algos", "superklust,foo,bar"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: unknown algorithm(s): bar, foo\n"
+
+    @pytest.mark.parametrize(
+        "exc, line",
+        [(MemoryError(), "error: MemoryError"),
+         (MemoryError("Unable to allocate 8.00 EiB"), "error: Unable to allocate 8.00 EiB")],
+        ids=["bare", "numpy"],
+    )
+    def test_memory_error_exits_1(self, monkeypatch, capsys, exc, line):
+        def handler(args):
+            raise exc
+
+        monkeypatch.setattr(cli, "cmd_synth", handler)
+        assert cli.main(["synth", "moons", "--out", "unused.csv"]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    @pytest.mark.parametrize("template", [c[1] for c in OVERSIZED_CASES],
+                             ids=[c[0] for c in OVERSIZED_CASES])
+    def test_oversized_request_refused_before_allocating(self, paths, template):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_MAIN, *self.argv(template, paths)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: ") and line.endswith(" float64 values, over 2^26 (512 MiB)")
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "rows, accuracy",
+        [("0,0,a\n1,1,a\n", "1.0000"), ("1,1,a\n1,1,a\n1,1,b\n1,1,b\n", "0.5000")],
+        ids=["one-class", "duplicate-rows"],
+    )
+    def test_degenerate_training_sets_fit(self, tmp_path, capsys, rows, accuracy):
+        # valid inputs, if degenerate: fit and predict succeed, with nothing on stderr
+        data, model = str(tmp_path / "t.csv"), str(tmp_path / "m.json")
+        (tmp_path / "t.csv").write_text(rows)
+        assert cli.main(["fit", "--data", data, "--k", "2", "--out", model]) == 0
+        assert cli.main(["predict", "--model", model, "--data", data, "--label-col", "-1"]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        assert out.out.splitlines()[-1] == f"accuracy: {accuracy}"

@@ -1,6 +1,7 @@
 import subprocess
 import sys
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from superklust import (
 )
 from superklust import _nearest
 from superklust.bench import knn_fit, knn_predict
-from superklust._nearest import k_nearest_sets, rounding_bound, sq_norms
+from superklust._nearest import exact_sq_dists, k_nearest_sets, rounding_bound, sq_norms
 from conftest import predict_oracle, random_labeled_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -217,6 +218,57 @@ class TestSelect:
         (Q, cand), = received
         np.testing.assert_array_equal(Q, X)
         assert cand.shape == (X.shape[0], P.shape[0]) and cand.all()
+
+
+def gamma(n: int, u: Fraction) -> Fraction:
+    return n * u / (1 - n * u)
+
+
+class TestScreenError:
+    """The float32 screen of predict, and the explicit float64 reference,
+    within the error bounds that the _nearest docstring derives, checked
+    against exact rational arithmetic on their float64 inputs: the
+    screen value against 2 p . x - ||p||^2, the reference against
+    ||p - x||^2. r is ||x|| + ||p||, u the unit roundoff and tau the
+    smallest normal number of each format."""
+
+    U32, TAU32 = Fraction(2) ** -24, Fraction(2) ** -126
+    U64, TAU64 = Fraction(2) ** -53, Fraction(2) ** -1022
+
+    @staticmethod
+    def screened(monkeypatch, model, X):
+        """predict's float32 scores of the rows X, and the float64 rows
+        it scored, as _nearest_rows hands them to select."""
+        blocks, select = [], _nearest.select
+
+        def capture(scores, bound, x, P):
+            blocks.append((scores.copy(), x.copy()))
+            return select(scores, bound, x, P)
+
+        monkeypatch.setattr(_nearest, "select", capture)
+        predict(to_discriminants(model), X)
+        [(scores, rows)] = blocks
+        return scores, rows
+
+    @pytest.mark.parametrize("d, n_rows, per_row", [(1, 200, 10), (16, 40, 10), (617, 6, 8)])
+    def test_errors_within_the_derivation(self, monkeypatch, d, n_rows, per_row):
+        rng = np.random.default_rng(d)
+        model = random_labeled_model(rng, d, n_gen=40)
+        scale = rng.choice([1e-3, 1.0, 1e3], (n_rows, 1))
+        scores, X = self.screened(monkeypatch, model, rng.normal(0.0, 3.0, (n_rows, d)) * scale)
+        P = model.points
+        exact_P = [[Fraction(v) for v in p.tolist()] for p in P]
+        for i, x in enumerate(X):
+            exact_x = [Fraction(v) for v in x.tolist()]
+            for j in rng.choice(len(P), per_row, replace=False):
+                p = exact_P[j]
+                r2 = Fraction(float(np.linalg.norm(x) + np.linalg.norm(P[j]))) ** 2
+                form = 2 * sum(a * b for a, b in zip(p, exact_x)) - sum(a * a for a in p)
+                error = abs(Fraction(float(scores[i, j])) - form)
+                assert error <= gamma(d + 5, self.U32) * r2 + (2 * d + 3) * self.TAU32
+                dist = sum((a - b) ** 2 for a, b in zip(p, exact_x))
+                error = abs(Fraction(float(exact_sq_dists(x, P[j : j + 1])[0])) - dist)
+                assert error <= gamma(d + 2, self.U64) * r2 + 3 * d * self.TAU64
 
 
 class TestKNearestSets:

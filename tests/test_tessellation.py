@@ -182,21 +182,21 @@ class TestDiscriminants:
             Model(points=[[0.0, 0.0]], labels=[0], source_classes=[0], n_classes=1, k=1)
         )
         np.testing.assert_array_equal(bank.weights, [[0.0, 0.0]])
-        assert bank.biases[0] == 0.0
+        assert bank.forms[-1, 0] == 0.0
 
     def test_three_four_generator(self):
         bank = to_discriminants(
             Model(points=[[3.0, 4.0]], labels=[0], source_classes=[0], n_classes=1, k=1)
         )
         np.testing.assert_array_equal(bank.weights, [[6.0, 8.0]])
-        assert bank.biases[0] == -25.0
+        assert bank.forms[-1, 0] == -25.0
 
     def test_three_dim_generator(self):
         bank = to_discriminants(
             Model(points=[[1.0, -1.0, 2.0]], labels=[0], source_classes=[0], n_classes=1, k=1)
         )
         np.testing.assert_array_equal(bank.weights, [[2.0, -2.0, 4.0]])
-        assert bank.biases[0] == -6.0
+        assert bank.forms[-1, 0] == -6.0
 
     def test_labels_copied_in_order(self):
         rng = np.random.default_rng(1)
@@ -210,12 +210,11 @@ class TestDiscriminants:
         model = random_labeled_model(rng, d=4)
         bank = to_discriminants(model)
         G = len(model.labels)
-        # weights and biases are views into the G * (d + 1) floats of forms
+        # weights is a view into the G * (d + 1) floats of forms
         assert bank.forms.shape == (5, G) and bank.forms.dtype == np.float32
         assert bank.forms.flags.owndata
         assert np.shares_memory(bank.weights, bank.forms)
-        assert np.shares_memory(bank.biases, bank.forms)
-        assert bank.weights.shape == (G, 4) and bank.biases.shape == (G,)
+        assert bank.weights.shape == (G, 4) and bank.forms[-1].shape == (G,)
         # the exact re-scoring reads the model's own points
         assert bank.points is model.points
         assert bank.p_max == pytest.approx(np.linalg.norm(model.points, axis=1).max())
@@ -226,7 +225,7 @@ class TestDiscriminants:
         bank = to_discriminants(model)
         big = np.finfo(np.float32).max
         np.testing.assert_array_equal(bank.weights, [[big, 0.0], [0.0, 2.0]])
-        np.testing.assert_array_equal(bank.biases, [-big, -1.0])
+        np.testing.assert_array_equal(bank.forms[-1], [-big, -1.0])
 
 
 class TestPredict:
