@@ -14,6 +14,7 @@ import numpy as np
 
 from ._nearest import k_nearest_sets
 from .clustering import KMeansConfig
+from .cli import _within_budget
 from .datasets import (
     Dataset,
     load_benchmark_dataset,
@@ -127,9 +128,6 @@ class BenchConfig:
     knn_neighbors: int = 3
     data_dir: str = "data"
 
-    def snapshot(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class BenchCell:
@@ -166,15 +164,23 @@ def synthetic_benchmark_data(name: str, seed: int = 0) -> tuple[Dataset, Dataset
     raise ValueError(f"unknown synthetic dataset {name!r}")
 
 
-def _resolve(entry, config: BenchConfig) -> tuple[str, Dataset, Dataset]:
-    if isinstance(entry, str):
-        if entry in SYNTHETIC_NAMES:
-            train, test = synthetic_benchmark_data(entry, config.seed)
-        else:
-            train, test = load_benchmark_dataset(entry, config.data_dir)
-        return entry, train, test
-    name, train, test = entry
-    return name, train, test
+def _load(entry, config: BenchConfig) -> tuple[Dataset, Dataset]:
+    """The train/test pair of a dataset entry, standardized if config asks."""
+    if not isinstance(entry, str):
+        _, train, test = entry
+    elif entry in SYNTHETIC_NAMES:
+        train, test = synthetic_benchmark_data(entry, config.seed)
+    else:
+        train, test = load_benchmark_dataset(entry, config.data_dir)
+    if config.standardize:
+        params = standardize_fit(train)
+        train, test = standardize_apply(params, train), standardize_apply(params, test)
+    return train, test
+
+
+def _error_text(exc: Exception) -> str:
+    """A failed cell's error: the exception's type name, then its message if it has one."""
+    return f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
 
 
 def run_benchmark(datasets: list, algos: list[str], config: BenchConfig) -> BenchReport:
@@ -184,34 +190,29 @@ def run_benchmark(datasets: list, algos: list[str], config: BenchConfig) -> Benc
     synthetic ones generated on the fly) or (name, train, test) triples.
     Per cell: training is timed over the full fit, accuracy computed
     once, inference timed over the full test set. Loading and
-    standardization happen before the clock starts. A failing cell
-    records its error and the rest still run. The report's config holds
-    the BenchConfig fields, the names run and, under "env", the
-    environment the run was measured in.
+    standardization happen before the clock starts; a dataset that fails
+    there records the error in each of its cells. A failing cell records
+    its error and the rest still run. The report's config holds the
+    BenchConfig fields, the names run and, under "env", the environment
+    the run was measured in.
     """
     names = []
     cells = {}
     for entry in datasets:
-        try:
-            name, train, test = _resolve(entry, config)
-        except Exception as exc:
-            name = entry if isinstance(entry, str) else entry[0]
-            names.append(name)
-            for algo in algos:
-                cells[(name, algo)] = BenchCell(error=f"{type(exc).__name__}: {exc}")
-            continue
+        name = entry if isinstance(entry, str) else entry[0]
         names.append(name)
-        if config.standardize:
-            params = standardize_fit(train)
-            train = standardize_apply(params, train)
-            test = standardize_apply(params, test)
+        try:
+            train, test = _load(entry, config)
+        except Exception as exc:
+            cells.update({(name, algo): BenchCell(error=_error_text(exc)) for algo in algos})
+            continue
         for algo in algos:
             try:
                 cells[(name, algo)] = _run_cell(algo, train, test, config)
             except Exception as exc:
-                cells[(name, algo)] = BenchCell(error=f"{type(exc).__name__}: {exc}")
+                cells[(name, algo)] = BenchCell(error=_error_text(exc))
     return BenchReport(datasets=names, algos=list(algos), cells=cells, config={
-        **config.snapshot(),
+        **asdict(config),
         "datasets": names,
         "algos": list(algos),
         "env": _environment(),
@@ -236,6 +237,9 @@ def _run_cell(algo: str, train: Dataset, test: Dataset, config: BenchConfig) -> 
     inference. Only the last model is kept: a KNN model copies the
     training rows."""
     if algo == "superklust":
+        _within_budget(
+            config.n_restarts * train.n, f"--restarts {config.n_restarts} x {train.n} rows"
+        )
         kcfg = KMeansConfig(k=config.k, n_restarts=config.n_restarts, seed=config.seed)
         train_step = partial(fit, train, kcfg)
         classifier = lambda model: partial(predict, to_discriminants(model))

@@ -25,7 +25,7 @@ from . import datasets, tessellation
 from .clustering import KMeansConfig
 
 # The most float64 values, 512 MiB, that one request may need: a grid,
-# a synthetic dataset, or fit's k-means++ weights of every restart.
+# a synthetic dataset, or the k-means++ weights of every restart.
 MAX_VALUES = 1 << 26
 
 
@@ -165,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_synth(args) -> None:
+    _at_least(args, 0, "--seed")
     if args.kind in ("moons", "circles"):
         _require(args.n >= 2 and args.n % 2 == 0, "--n must be an even integer >= 2")
         _require(not args.noise < 0, "--noise must be nonnegative")

@@ -7,7 +7,8 @@ import csv
 import itertools
 import math
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -324,13 +325,7 @@ def standardize_apply(params: ScalerParams, ds: Dataset) -> Dataset:
         raise ValueError(
             f"dimension mismatch: scaler has {params.mean.shape[0]} features, data has {ds.d}"
         )
-    return Dataset(
-        X=params.apply(ds.X),
-        y=ds.y,
-        n_classes=ds.n_classes,
-        name=ds.name,
-        label_names=ds.label_names,
-    )
+    return replace(ds, X=params.apply(ds.X))
 
 
 def decision_grid(bank: DiscriminantBank, x_range, y_range, resolution: int):
@@ -408,13 +403,11 @@ def load_benchmark_dataset(name: str, data_dir) -> tuple[Dataset, Dataset]:
                 f"{p} not found; run the fetch command to download {name!r} first"
             )
     if info["format"] == "csv":
-        train = load_csv(train_path, label_column=info["label_column"])
-        shared = {tok: i for i, tok in enumerate(train.label_names)}
-        test = load_csv(test_path, label_column=info["label_column"], label_map=shared)
+        load = partial(load_csv, label_column=info["label_column"])
     else:
-        train = load_svmlight(train_path, n_features=info["n_features"])
-        shared = {tok: i for i, tok in enumerate(train.label_names)}
-        test = load_svmlight(test_path, n_features=info["n_features"], label_map=shared)
+        load = partial(load_svmlight, n_features=info["n_features"])
+    train = load(train_path)
+    test = load(test_path, label_map={tok: i for i, tok in enumerate(train.label_names)})
     train.name = f"{name}/train"
     test.name = f"{name}/test"
     return train, test

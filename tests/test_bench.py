@@ -194,6 +194,30 @@ class TestRunBenchmark:
         ok = report.cells[("tiny", "superklust")]
         assert ok.error is None and ok.accuracy == 1.0
 
+    def test_overflowing_standardization_recorded_per_cell(self):
+        # finite rows whose standard deviation overflows float64
+        X = np.array([[1e308, 0.0], [-1e308, 1.0]])
+        spread = ("spread", Dataset(X=X, y=np.array([0, 1]), n_classes=2),
+                  Dataset(X=X, y=np.array([0, 1]), n_classes=2))
+        report = run_benchmark([spread, tiny_entry()], ["superklust", "knn"], quick_config())
+        assert report.datasets == ["spread", "tiny"]
+        for algo in ("superklust", "knn"):
+            assert report.cells[("spread", algo)].error == (
+                "ValueError: feature column 0: standard deviation overflows float64"
+            )
+            ok = report.cells[("tiny", algo)]
+            assert ok.error is None and ok.accuracy == 1.0
+
+    def test_empty_message_recorded_as_type_name(self, monkeypatch):
+        from superklust import bench
+
+        def out_of_memory(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(bench, "_run_cell", out_of_memory)
+        report = run_benchmark([tiny_entry()], ["superklust"], quick_config())
+        assert report.cells[("tiny", "superklust")].error == "MemoryError"
+
     def test_unknown_algorithm_recorded_per_cell(self):
         report = run_benchmark([tiny_entry()], ["nope"], quick_config())
         cell = report.cells[("tiny", "nope")]

@@ -530,6 +530,26 @@ class TestBench:
         assert proc.returncode == 1
         assert "letter" in proc.stderr and "failed" in proc.stderr
 
+    def test_overflowing_standardization_still_writes_report(self, tmp_path, capsys):
+        letter = tmp_path / "letter"
+        letter.mkdir()
+        (letter / "train.csv").write_text("a,1e308,0\nb,-1e308,1\n")
+        (letter / "test.csv").write_text("a,1e308,2\nb,-1e308,3\n")
+        out = tmp_path / "rep.md"
+        argv = ["bench", "--datasets", "blobs,letter", "--repetitions", "1", "--warmup", "0",
+                "--k", "2", "--restarts", "1", "--data-dir", str(tmp_path), "--out", str(out)]
+        assert cli.main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        overflow = "ValueError: feature column 0: standard deviation overflows float64"
+        assert line == (
+            f"error: cell (letter, superklust) failed: {overflow}; "
+            f"cell (letter, knn) failed: {overflow}"
+        )
+        table = out.read_text().split("\n\n")[1].splitlines()
+        assert table[0] == "| algorithm | blobs | letter |"
+        for row in table[2:]:
+            assert re.fullmatch(r"\| (superklust|knn) \| \d\.\d{3} \| error \|", row), row
+
     def test_empty_lists_exit_2(self):
         proc = run_cli("bench", "--datasets", "", "--algos", "superklust")
         assert proc.returncode == 2
@@ -704,6 +724,7 @@ CONTRACT_CASES = [
     ("synth-n-odd", 2, "synth moons --n 7 --out {d}/s.csv"),
     ("synth-out-dir", 1, "synth moons --out {d}"),
     ("synth-out-no-parent", 1, "synth moons --out {d}/absent/s.csv"),
+    ("synth-seed-negative", 2, "synth moons --seed -1 --out {d}/s.csv"),
     ("bench-unknown-algorithm", 2, "bench --datasets blobs --algos superklust,foo"),
     ("bench-unknown-dataset", 1, "bench --datasets nosuch --repetitions 1 --warmup 0"),
     ("bench-missing-dataset", 1,
@@ -830,6 +851,21 @@ class TestErrorContract:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: ") and line.endswith(" float64 values, over 2^26 (512 MiB)")
         assert proc.stdout == ""
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_bench_restarts_refused_before_fitting(self):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        argv = ("bench --datasets blobs --algos superklust --restarts 100000000"
+                " --repetitions 1 --warmup 0").split()
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_MAIN, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line.startswith("error: cell (blobs, superklust) failed: UsageError: --restarts ")
+        assert line.endswith(" float64 values, over 2^26 (512 MiB)")
+        assert "| superklust | error |" in proc.stdout
 
     @pytest.mark.parametrize(
         "rows, accuracy",

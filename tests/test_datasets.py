@@ -551,3 +551,17 @@ class TestBenchmarkLoader:
         np.testing.assert_array_equal(test.y, [2])
         assert test.n_classes == 3
         assert train.name == "letter/train" and test.name == "letter/test"
+
+    def test_svmlight_files_share_the_label_map(self, tmp_path):
+        base = tmp_path / "usps"
+        base.mkdir()
+        (base / "train.svm").write_text("# usps\n3 1:0.5\n\n1 256:-0.25\n2 7:1\n")
+        (base / "test.svm").write_text("3 256:0.75 2:1\n")  # misses classes 1 and 2
+        train, test = load_benchmark_dataset("usps", tmp_path)
+        assert train.X.shape == (3, 256) and test.X.shape == (1, 256)
+        assert train.label_names == test.label_names == ("1", "2", "3")
+        np.testing.assert_array_equal(train.y, [2, 0, 1])
+        np.testing.assert_array_equal(test.y, [2])
+        assert train.name == "usps/train" and test.name == "usps/test"
+        assert train.X[1, 255] == -0.25 and test.X[0, 255] == 0.75
+        assert test.X[0, 1] == 1.0 and np.count_nonzero(test.X) == 2

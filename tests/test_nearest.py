@@ -18,7 +18,7 @@ from superklust import (
     predict,
     to_discriminants,
 )
-from superklust import _nearest
+from superklust import _nearest, clustering
 from superklust.bench import knn_fit, knn_predict
 from superklust._nearest import exact_sq_dists, k_nearest_sets, rounding_bound, sq_norms
 from conftest import predict_oracle, random_labeled_model
@@ -225,12 +225,13 @@ def gamma(n: int, u: Fraction) -> Fraction:
 
 
 class TestScreenError:
-    """The float32 screen of predict, and the explicit float64 reference,
-    within the error bounds that the _nearest docstring derives, checked
-    against exact rational arithmetic on their float64 inputs: the
-    screen value against 2 p . x - ||p||^2, the reference against
-    ||p - x||^2. r is ||x|| + ||p||, u the unit roundoff and tau the
-    smallest normal number of each format."""
+    """The float32 screen of predict, the float64 screen of Lloyd, and
+    the explicit float64 reference, within the error bounds that the
+    _nearest docstring derives, checked against exact rational
+    arithmetic on their float64 inputs: a screen value against
+    2 p . x - ||p||^2, the reference against ||p - x||^2. r is
+    ||x|| + ||p||, u the unit roundoff and tau the smallest normal
+    number of each format."""
 
     U32, TAU32 = Fraction(2) ** -24, Fraction(2) ** -126
     U64, TAU64 = Fraction(2) ** -53, Fraction(2) ** -1022
@@ -250,7 +251,9 @@ class TestScreenError:
         [(scores, rows)] = blocks
         return scores, rows
 
-    @pytest.mark.parametrize("d, n_rows, per_row", [(1, 200, 10), (16, 40, 10), (617, 6, 8)])
+    @pytest.mark.parametrize(
+        "d, n_rows, per_row", [(1, 200, 10), (2, 200, 10), (16, 40, 10), (617, 6, 8)]
+    )
     def test_errors_within_the_derivation(self, monkeypatch, d, n_rows, per_row):
         rng = np.random.default_rng(d)
         model = random_labeled_model(rng, d, n_gen=40)
@@ -269,6 +272,37 @@ class TestScreenError:
                 dist = sum((a - b) ** 2 for a, b in zip(p, exact_x))
                 error = abs(Fraction(float(exact_sq_dists(x, P[j : j + 1])[0])) - dist)
                 assert error <= gamma(d + 2, self.U64) * r2 + 3 * d * self.TAU64
+
+    @pytest.mark.parametrize("d, n_rows, k, samples", [
+        (1, 300, 12, 300), (2, 300, 12, 300), (16, 200, 10, 100), (617, 60, 6, 8),
+    ])
+    def test_lloyd_screen_within_the_derivation(self, monkeypatch, d, n_rows, k, samples):
+        # Lloyd's float64 scores as it hands them to select: those of its
+        # first step, and those of a later step that recomputed only the
+        # rows of the centers that moved.
+        calls, select = [], clustering.select
+
+        def capture(scores, bound, x, P):
+            calls.append((scores.copy(), P.copy()))
+            return select(scores, bound, x, P)
+
+        monkeypatch.setattr(clustering, "select", capture)
+        rng = np.random.default_rng(100 + d)
+        X = rng.normal(0.0, 3.0, (n_rows, d)) * rng.choice([1e-3, 1.0, 1e3], (n_rows, 1))
+        lloyd(X, X[rng.choice(n_rows, k, replace=False)])
+        partial = next(
+            (scores, P, np.flatnonzero((P != before).any(axis=1)))
+            for (_, before), (scores, P) in zip(calls, calls[1:])
+            if P.shape == before.shape and 0 < (P != before).any(axis=1).sum() < len(P)
+        )
+        first = calls[0] + (np.arange(k),)
+        for scores, P, moved in (first, partial):
+            for i, j in zip(rng.integers(n_rows, size=samples), rng.choice(moved, samples)):
+                r2 = Fraction(float(np.linalg.norm(X[i]) + np.linalg.norm(P[j]))) ** 2
+                p, x = [Fraction(v) for v in P[j].tolist()], [Fraction(v) for v in X[i].tolist()]
+                form = 2 * sum(a * b for a, b in zip(p, x)) - sum(a * a for a in p)
+                error = abs(Fraction(float(scores[i, j])) - form)
+                assert error <= gamma(d + 1, self.U64) * r2
 
 
 class TestKNearestSets:
