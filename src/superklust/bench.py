@@ -14,7 +14,7 @@ import numpy as np
 
 from ._nearest import k_nearest_sets
 from .clustering import KMeansConfig
-from .cli import _within_budget
+from .cli import _within_fit_budget
 from .datasets import (
     Dataset,
     load_benchmark_dataset,
@@ -24,7 +24,7 @@ from .datasets import (
     standardize_apply,
     standardize_fit,
 )
-from .tessellation import fit, predict, to_discriminants
+from .tessellation import _check_finite, fit, predict, to_discriminants
 
 __all__ = [
     "TimingStat",
@@ -99,16 +99,14 @@ def knn_predict(model: KnnModel, X) -> np.ndarray:
     (exact explicit-difference squared distance, training index); vote
     ties go to the lowest class id. Distances are screened by one GEMM
     per block of queries, which bounds the distance-matrix memory. A
-    non-finite query raises ValueError naming its row, as in predict.
+    non-finite query raises predict's ValueError naming its row.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.X.shape[1]:
         raise ValueError(
             f"dimension mismatch: queries must be 2-D with {model.X.shape[1]} features"
         )
-    finite = np.isfinite(X).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"non-finite feature in query row {int(finite.argmin())}")
+    _check_finite(X, X, 0)
     nn = k_nearest_sets(X, model.X, model.n_neighbors)
     offsets = model.y[nn] + np.arange(X.shape[0])[:, None] * model.n_classes
     counts = np.bincount(offsets.ravel(), minlength=X.shape[0] * model.n_classes)
@@ -237,9 +235,7 @@ def _run_cell(algo: str, train: Dataset, test: Dataset, config: BenchConfig) -> 
     inference. Only the last model is kept: a KNN model copies the
     training rows."""
     if algo == "superklust":
-        _within_budget(
-            config.n_restarts * train.n, f"--restarts {config.n_restarts} x {train.n} rows"
-        )
+        _within_fit_budget(config.k, config.n_restarts, train.y)
         kcfg = KMeansConfig(k=config.k, n_restarts=config.n_restarts, seed=config.seed)
         train_step = partial(fit, train, kcfg)
         classifier = lambda model: partial(predict, to_discriminants(model))

@@ -25,7 +25,8 @@ from . import datasets, tessellation
 from .clustering import KMeansConfig
 
 # The most float64 values, 512 MiB, that one request may need: a grid,
-# a synthetic dataset, or the k-means++ weights of every restart.
+# a synthetic dataset, the k-means++ weights of every restart, or Lloyd's
+# screen of the largest class.
 MAX_VALUES = 1 << 26
 
 
@@ -49,6 +50,15 @@ def _within_budget(values: int, request: str) -> None:
     _require(
         values <= MAX_VALUES, f"{request} would take {values} float64 values, over 2^26 (512 MiB)"
     )
+
+
+def _within_fit_budget(k: int, restarts: int, y: np.ndarray) -> None:
+    """Refuse a fit on the labels y whose k-means++ weights (restarts x
+    rows) or Lloyd screen (min(k, m) x m, for the m rows of the largest
+    class) would take more than MAX_VALUES float64 values."""
+    _within_budget(restarts * y.size, f"--restarts {restarts} x {y.size} rows")
+    m = int(np.bincount(y).max())
+    _within_budget(min(k, m) * m, f"--k {k} on a class of {m} rows")
 
 
 def _data_dir(args) -> str:
@@ -199,7 +209,7 @@ def cmd_fit(args) -> None:
     ds = datasets.load_csv(
         args.data, label_column=_parse_label_col(args.label_col), has_header=args.has_header
     )
-    _within_budget(args.restarts * ds.n, f"--restarts {args.restarts} x {ds.n} rows")
+    _within_fit_budget(args.k, args.restarts, ds.y)
     scaler = datasets.standardize_fit(ds) if args.standardize else None
     train = ds if scaler is None else datasets.standardize_apply(scaler, ds)
     config = KMeansConfig(

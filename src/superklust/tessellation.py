@@ -306,9 +306,10 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     return bank.labels[_nearest_rows(bank, X)]
 
 
-def _nearest_rows(bank: DiscriminantBank, X: np.ndarray) -> np.ndarray:
+def _nearest_rows(bank: DiscriminantBank, X: np.ndarray, what: str = "query") -> np.ndarray:
     """Index of the nearest generator of each raw row of the 2-D X, as
-    predict defines it: the one nearest-generator scan of a model.
+    predict defines it, errors included, with "query" in them replaced
+    by what: the one nearest-generator scan of a model.
 
     Rows are taken in blocks, as float64 (a bank with a scaler applies
     it to each block: ScalerParams.apply into a reused block), and cast
@@ -341,7 +342,7 @@ def _nearest_rows(bank: DiscriminantBank, X: np.ndarray) -> np.ndarray:
         if x_norms.max() <= x_reach:
             q[:, :-1] = x
         else:  # a norm beyond reach, or not finite
-            _check_finite(x, X, start)
+            _check_finite(x, X, start, what)
             q[:, :-1] = np.where((x_norms <= x_reach)[:, None], x, 0.0)
         np.matmul(q, forms, out=s)
         bound = _nearest.rounding_bound(x_norms, bank.p_max, d1 - 1, np.float32)
@@ -384,16 +385,16 @@ def _predict_row(bank: DiscriminantBank, x: np.ndarray, raw: np.ndarray) -> int:
     return int(_nearest.select(s[None], np.array([bound]), x[None], bank.points)[0])
 
 
-def _check_finite(x: np.ndarray, raw: np.ndarray, start: int) -> None:
+def _check_finite(x: np.ndarray, raw: np.ndarray, start: int, what: str = "query") -> None:
     """Raise ValueError naming the first of the float64 rows x (rows
     start, start + 1, ... of the raw input raw, scaled) that is not
-    finite, if any."""
+    finite, if any, as a what row."""
     finite = np.isfinite(x).all(axis=1)
     if not finite.all():
         i = start + int(finite.argmin())
         if np.isfinite(raw[i]).all():
-            raise ValueError(f"query row {i} overflows float64 when scaled")
-        raise ValueError(f"non-finite feature in query row {i}")
+            raise ValueError(f"{what} row {i} overflows float64 when scaled")
+        raise ValueError(f"non-finite feature in {what} row {i}")
 
 
 def correct(model: Model, train: "Dataset") -> Model:
@@ -428,12 +429,9 @@ def correct(model: Model, train: "Dataset") -> Model:
     if y.min() < 0 or y.max() >= model.n_classes:
         raise ValueError(f"training labels must lie in [0, {model.n_classes})")
 
-    X = train.X if model.scaler is None else model.scaler.apply(train.X)
-    if model.scaler is not None and not (finite := np.isfinite(X).all(axis=1)).all():
-        raise ValueError(f"training row {finite.argmin()} overflows float64 when scaled")
     labels = model.labels
     G, C = labels.shape[0], model.n_classes
-    assign = _nearest_rows(replace(to_discriminants(model), scaler=None), X)
+    assign = _nearest_rows(to_discriminants(model), train.X, "training")
     counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
     # An empty cell ties every class at 0 and so keeps its label.
     tied = counts == counts.max(axis=1, keepdims=True)

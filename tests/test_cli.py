@@ -742,7 +742,8 @@ CONTRACT_CASES = [
     ("fetch-two-mismatches", 1, "fetch --verify --data-dir {d}/mismatch"),
 ]
 
-# Requests far beyond cli.MAX_VALUES; {big} is 4096 rows of one class.
+# Requests beyond cli.MAX_VALUES; big.csv is 4096 rows of one class,
+# tall.csv 9000, whose Lloyd screen at --k 9000 holds 9000^2 values.
 OVERSIZED_CASES = [
     ("grid-resolution", "grid --model {model} --resolution 100000"),
     ("grid-resolution-300-digits", "grid --model {model} --resolution 1" + "0" * 300),
@@ -751,6 +752,7 @@ OVERSIZED_CASES = [
     ("synth-blobs-dim", "synth blobs --n 3 --classes 3 --dim 1000000000 --out {d}/s.csv"),
     ("synth-blobs-classes", "synth blobs --n 100000000 --classes 100000000 --out {d}/s.csv"),
     ("fit-restarts", "fit --data {d}/big.csv --k 2 --restarts 65536 --out {d}/m.json"),
+    ("fit-k", "fit --data {d}/tall.csv --k 9000 --restarts 1 --out {d}/m.json"),
 ]
 
 # Runs cli.main with the address space capped at 1 GiB, so that a
@@ -776,6 +778,7 @@ class TestErrorContract:
         (d / "train.csv").write_text("0,0,a\n0.1,0,a\n5,5,b\n5.1,5,b\n")
         (d / "tiny_scale.csv").write_text("0,0,a\n1e-150,1,a\n0,5,b\n1e-150,6,b\n")
         (d / "big.csv").write_text("".join(f"{i},{i % 7},a\n" for i in range(4096)))
+        (d / "tall.csv").write_text("".join(f"{i},{i % 7},a\n" for i in range(9000)))
         models = {"model": "train.csv", "scaled": "tiny_scale.csv"}
         for name, data in models.items():
             ds = load_csv(d / data, label_column=-1)
@@ -865,6 +868,29 @@ class TestErrorContract:
         [line] = proc.stderr.splitlines()
         assert line.startswith("error: cell (blobs, superklust) failed: UsageError: --restarts ")
         assert line.endswith(" float64 values, over 2^26 (512 MiB)")
+        assert "| superklust | error |" in proc.stdout
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_bench_k_refused_before_fitting(self, tmp_path):
+        # one class of 9000 rows: Lloyd's screen at --k 9000 would hold 9000^2 values
+        (tmp_path / "letter").mkdir()
+        (tmp_path / "letter" / "train.csv").write_text(
+            "".join(f"a,{i},{i % 7}\n" for i in range(9000))
+        )
+        (tmp_path / "letter" / "test.csv").write_text("a,0,0\na,1,1\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        argv = (f"bench --datasets letter --data-dir {tmp_path} --algos superklust --k 9000"
+                " --restarts 1 --repetitions 1 --warmup 0").split()
+        proc = subprocess.run(
+            [sys.executable, "-c", LIMITED_MAIN, *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1, proc.stderr
+        [line] = proc.stderr.splitlines()
+        assert line == (
+            "error: cell (letter, superklust) failed: UsageError: --k 9000 on a class of"
+            " 9000 rows would take 81000000 float64 values, over 2^26 (512 MiB)"
+        )
         assert "| superklust | error |" in proc.stdout
 
     @pytest.mark.parametrize(

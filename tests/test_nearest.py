@@ -225,11 +225,11 @@ def gamma(n: int, u: Fraction) -> Fraction:
 
 
 class TestScreenError:
-    """The float32 screen of predict, the float64 screen of Lloyd, and
-    the explicit float64 reference, within the error bounds that the
-    _nearest docstring derives, checked against exact rational
-    arithmetic on their float64 inputs: a screen value against
-    2 p . x - ||p||^2, the reference against ||p - x||^2. r is
+    """The float32 screen of predict, the float64 screens of Lloyd and
+    k_nearest_sets, and the explicit float64 reference, within the
+    error bounds that the _nearest docstring derives, checked against
+    exact rational arithmetic on their float64 inputs: a screen value
+    against 2 p . x - ||p||^2, the reference against ||p - x||^2. r is
     ||x|| + ||p||, u the unit roundoff and tau the smallest normal
     number of each format."""
 
@@ -303,6 +303,32 @@ class TestScreenError:
                 form = 2 * sum(a * b for a, b in zip(p, x)) - sum(a * a for a in p)
                 error = abs(Fraction(float(scores[i, j])) - form)
                 assert error <= gamma(d + 1, self.U64) * r2
+
+    @pytest.mark.parametrize("d, n_rows, n_sites, samples", [
+        (1, 300, 40, 300), (2, 300, 40, 300), (16, 200, 40, 100), (617, 30, 20, 8),
+    ])
+    def test_k_nearest_screen_within_the_derivation(self, monkeypatch, d, n_rows, n_sites,
+                                                    samples):
+        # k_nearest_sets' float64 scores X @ (2P).T - ||p||^2, as it hands
+        # them to np.partition
+        calls, partition = [], np.partition
+
+        def capture(scores, kth, axis):
+            calls.append(scores.copy())
+            return partition(scores, kth, axis=axis)
+
+        monkeypatch.setattr(np, "partition", capture)
+        rng = np.random.default_rng(200 + d)
+        X = rng.normal(0.0, 3.0, (n_rows, d)) * rng.choice([1e-3, 1.0, 1e3], (n_rows, 1))
+        P = rng.normal(0.0, 3.0, (n_sites, d)) * rng.choice([1e-3, 1.0, 1e3], (n_sites, 1))
+        k_nearest_sets(X, P, 3)
+        [scores] = calls
+        for i, j in zip(rng.integers(n_rows, size=samples), rng.integers(n_sites, size=samples)):
+            r2 = Fraction(float(np.linalg.norm(X[i]) + np.linalg.norm(P[j]))) ** 2
+            p, x = [Fraction(v) for v in P[j].tolist()], [Fraction(v) for v in X[i].tolist()]
+            form = 2 * sum(a * b for a, b in zip(p, x)) - sum(a * a for a in p)
+            error = abs(Fraction(float(scores[i, j])) - form)
+            assert error <= gamma(d + 1, self.U64) * r2
 
 
 class TestKNearestSets:

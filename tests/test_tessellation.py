@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -555,6 +556,26 @@ class TestCorrect:
         fixed = correct(replace(model, scaler=scaler), raw)
         assert fixed == replace(correct(model, Dataset(
             X=(raw.X - scaler.mean) / scaler.scale, y=train.y, n_classes=2)), scaler=scaler)
+
+    def test_scaled_training_rows_not_copied_whole(self, monkeypatch):
+        # the scan scales one block of rows at a time into a reused buffer;
+        # with blocks far smaller than the training set, correct's peak
+        # stays below one n x d float64 copy of it
+        monkeypatch.setattr(_nearest, "BLOCK_ENTRIES", 1 << 12)
+        rng = np.random.default_rng(61)
+        n, d = 20000, 16
+        scaler = ScalerParams(mean=rng.normal(0.0, 2.0, d), scale=rng.uniform(0.5, 2.0, d))
+        model = replace(random_labeled_model(rng, d=d, n_gen=26, n_classes=5), scaler=scaler)
+        train = Dataset(X=rng.normal(0.0, 3.0, (n, d)) * scaler.scale + scaler.mean,
+                        y=rng.integers(5, size=n), n_classes=5)
+        tracemalloc.start()
+        try:
+            fixed = correct(model, train)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * d * 8
+        assert fixed == multi_pass_correct(model, train)
 
     def test_training_row_overflowing_in_scaling_named(self):
         # as predict does: the scaled row would be inf, which no cell can
