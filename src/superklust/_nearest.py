@@ -20,8 +20,10 @@ in float64, 2^-24 in float32), gamma_n = n u / (1 - n u), r = ||x|| +
 ||p||, and tau for the smallest normal number of the screen's format.
 
 - A float64 screen scores x and 2 p as they are. Each screen value is
-  within gamma_{d+1} r^2 of 2 p . x - ||p||^2, for any order of
-  summation the BLAS takes.
+  within gamma_{d+1} r^2 + 4d tau of 2 p . x - ||p||^2, for any order
+  of summation the BLAS takes: each of the at most 4d - 1 products and
+  sums of 2 p . x, of ||p||^2 and of their difference that underflows
+  adds at most tau.
 - A float32 screen (tessellation._nearest_rows) first casts x, 2 p and
   -||p||^2 to float32; the last is computed in float64, with relative
   error gamma_d below the float32 u for d < 2^29. A cast errs by at most
@@ -45,13 +47,14 @@ rounding_bound is 2 (gamma_screen + gamma_{d+2}) r^2 + 64 (d + 2) tau,
 with gamma_screen = gamma_{d+2} in float64 and gamma_{d+5} in float32.
 Its gammas take machine epsilon (2u) for u, which leaves room for the
 rounding of the norms, of the bound and of the gap; the absolute term
-leaves room for the underflow of the norms. Beyond the safe reach an
-intermediate value of the screen, or a gap between two, could
-overflow, so the bound is inf there and such rows always take the
-exact path. The reach is 2^511 in float64, where r^2 stays below a
-quarter of the largest double. It is 2^63 in float32: there |2 p . x|
-+ ||p||^2 <= r^2 <= 2^126, so no partial sum and no gap reaches the
-largest float32, about 2^128. A norm that is inf or nan gets inf too.
+covers twice the tau terms above, and leaves room for the underflow of
+the norms. Beyond the safe reach an intermediate value of the screen,
+or a gap between two, could overflow, so the bound is inf there and
+such rows always take the exact path. The reach is 2^511 in float64,
+where r^2 stays below a quarter of the largest double. It is 2^63 in
+float32: there |2 p . x| + ||p||^2 <= r^2 <= 2^126, so no partial sum
+and no gap reaches the largest float32, about 2^128. A norm that is inf
+or nan gets inf too.
 """
 
 from __future__ import annotations

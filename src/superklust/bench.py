@@ -3,6 +3,7 @@ the tessellation classifier against a brute-force KNN baseline."""
 
 from __future__ import annotations
 
+import csv
 import io
 import os
 import statistics
@@ -286,25 +287,25 @@ def _markdown(report: BenchReport) -> str:
 
 def _csv(report: BenchReport) -> str:
     out = io.StringIO()
-    out.write(
-        "dataset,algorithm,accuracy,train_mean_ms,train_std_ms,"
-        "infer_mean_ms,infer_std_ms,repetitions,error\n"
-    )
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow([
+        "dataset", "algorithm", "accuracy", "train_mean_ms", "train_std_ms",
+        "infer_mean_ms", "infer_std_ms", "repetitions", "error",
+    ])
     for ds in report.datasets:
         for algo in report.algos:
             cell = report.cells.get((ds, algo))
             if cell is None:
                 continue
             if cell.error is not None:
-                err = cell.error.replace('"', "'")
-                out.write(f'{ds},{algo},,,,,,,"{err}"\n')
+                writer.writerow([ds, algo, "", "", "", "", "", "", cell.error])
             else:
-                out.write(
-                    f"{ds},{algo},{cell.accuracy!r},"
-                    f"{cell.train.mean_ms!r},{cell.train.std_ms!r},"
-                    f"{cell.infer.mean_ms!r},{cell.infer.std_ms!r},"
-                    f"{cell.train.repetitions},\n"
-                )
+                writer.writerow([
+                    ds, algo, repr(cell.accuracy),
+                    repr(cell.train.mean_ms), repr(cell.train.std_ms),
+                    repr(cell.infer.mean_ms), repr(cell.infer.std_ms),
+                    cell.train.repetitions, "",
+                ])
     return out.getvalue()
 
 

@@ -301,7 +301,7 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     if X.shape[1] != d:
         raise ValueError(f"dimension mismatch: queries have {X.shape[1]} features, expected {d}")
     if X.shape[0] == 1:
-        i = _predict_row(bank, _float64_rows(X[0], bank.scaler, np.empty(d)), X)
+        i = _predict_row(bank, X)
         return bank.labels[i : i + 1].copy()
     return bank.labels[_nearest_rows(bank, X)]
 
@@ -311,22 +311,24 @@ def _nearest_rows(bank: DiscriminantBank, X: np.ndarray, what: str = "query") ->
     predict defines it, errors included, with "query" in them replaced
     by what: the one nearest-generator scan of a model.
 
-    Rows are taken in blocks, as float64 (a bank with a scaler applies
-    it to each block: ScalerParams.apply into a reused block), and cast
-    into a float32 query matrix [x, 1] that one GEMM per block scores
-    against bank.forms, biases included. _nearest.select decides each
-    block, with the rounding bound of a float32 screen: no rounding of
-    the screen or of the explicit distances can change a certified
-    winner, and each other row is re-scored exactly against only the
-    generators whose score lies within the bound of its top one. A call
-    holds one block of scores and its query blocks, reused by every
-    block and each of at most _nearest.BLOCK_ENTRIES entries.
+    Rows are taken in blocks, as float64: float64 rows where they lie,
+    others cast, and a bank with a scaler applies it to each block
+    (ScalerParams.apply into a reused block). Each block is cast into a
+    float32 query matrix [x, 1] that one GEMM per block scores against
+    bank.forms, biases included. _nearest.select decides each block,
+    with the rounding bound of a float32 screen: no rounding of the
+    screen or of the explicit distances can change a certified winner,
+    and each other row is re-scored exactly against only the generators
+    whose score lies within the bound of its top one. A call holds one
+    block of scores and its query blocks, and a block of scaled rows
+    only when the bank scales, reused by every block and each of at
+    most _nearest.BLOCK_ENTRIES entries.
     """
     forms, scaler = bank.forms, bank.scaler
     d1, G = forms.shape
     n = X.shape[0]
     step = max(1, min(n, block_rows(max(G, d1))))
-    rows = np.empty((step, d1 - 1))
+    rows = None if scaler is None else np.empty((step, d1 - 1))
     queries = np.empty((step, d1), dtype=np.float32)
     queries[:, -1] = 1.0
     scores = np.empty((step, G), dtype=np.float32)
@@ -336,8 +338,9 @@ def _nearest_rows(bank: DiscriminantBank, X: np.ndarray, what: str = "query") ->
     x_reach = _nearest.SAFE_REACH_32 - bank.p_max
     for start in range(0, n, step):
         stop = min(start + step, n)
-        q, s = queries[: stop - start], scores[: stop - start]
-        x = _float64_rows(X[start:stop], scaler, rows[: stop - start])
+        m = stop - start
+        q, s, raw = queries[:m], scores[:m], X[start:stop]
+        x = raw.astype(np.float64, copy=False) if scaler is None else scaler.apply(raw, rows[:m])
         x_norms = np.sqrt(sq_norms(x))
         if x_norms.max() <= x_reach:
             q[:, :-1] = x
@@ -350,23 +353,12 @@ def _nearest_rows(bank: DiscriminantBank, X: np.ndarray, what: str = "query") ->
     return best
 
 
-def _float64_rows(X: np.ndarray, scaler: ScalerParams | None, out: np.ndarray) -> np.ndarray:
-    """Raw rows X as float64 in the coordinates of the generators: X
-    itself when it is float64 and there is no scaler, else out holding
-    them."""
-    if scaler is not None:
-        return scaler.apply(X, out)
-    if X.dtype == np.float64:
-        return X
-    out[...] = X
-    return out
-
-
-def _predict_row(bank: DiscriminantBank, x: np.ndarray, raw: np.ndarray) -> int:
-    """predict's steps for the float64 row x of the one-row input raw,
-    on vectors and Python floats: at one row, each array operation of
-    the block path costs about as much as the GEMM itself."""
-    forms, p_max = bank.forms, bank.p_max
+def _predict_row(bank: DiscriminantBank, raw: np.ndarray) -> int:
+    """predict's steps for the one-row input raw, on vectors and Python
+    floats: at one row, each array operation of the block path costs
+    about as much as the GEMM itself."""
+    forms, p_max, scaler = bank.forms, bank.p_max, bank.scaler
+    x = raw[0].astype(np.float64, copy=False) if scaler is None else scaler.apply(raw[0])
     x_norm = math.sqrt(np.vdot(x, x))  # inf, not a warning, on overflow
     q = np.zeros(forms.shape[0], dtype=np.float32)
     q[-1] = 1.0

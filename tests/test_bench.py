@@ -274,6 +274,20 @@ class TestEmitReport:
         assert rows[0]["accuracy"] == ""
         assert "FileNotFoundError" in rows[0]["error"]
 
+    def test_csv_error_and_name_read_back_unaltered(self, tmp_path):
+        # both errors hold '"' and ','; the second name holds them too
+        report = run_benchmark(
+            ["it's", 'a,"b'], ["knn"], quick_config(data_dir=str(tmp_path))
+        )
+        rows = list(csv.DictReader(io.StringIO(emit_report(report, format="csv"))))
+        assert [(row["dataset"], row["algorithm"]) for row in rows] == [
+            ("it's", "knn"), ('a,"b', "knn")
+        ]
+        for row in rows:
+            error = report.cells[(row["dataset"], "knn")].error
+            assert '"' in error and "," in error
+            assert row["error"] == error
+
     def test_empty_report(self):
         from superklust.bench import BenchReport
 

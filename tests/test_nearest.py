@@ -330,6 +330,111 @@ class TestScreenError:
             error = abs(Fraction(float(scores[i, j])) - form)
             assert error <= gamma(d + 1, self.U64) * r2
 
+    @staticmethod
+    def built_cases(d):
+        """Query rows and sites built to approach the worst case of each
+        computation, as (rows, sites); every row is checked against every
+        site."""
+        near = 1 + 2.0**-20  # "just above" a threshold
+
+        def lead(first, rest=0.0):
+            """A d-vector: first, then rest (one value, or d - 1)."""
+            return np.r_[first, np.broadcast_to(rest, (d - 1,))]
+
+        # Higham's recursive-summation construction: one dominant product
+        # 2 x_1 p_1, then products just above half an ulp of the running
+        # sum, so that each addition rounds up by almost half an ulp. The
+        # float64 site's s^2 lies just below half an ulp of ||p||^2 ~ 1,
+        # so its sum of squares rounds down at every term, the other way
+        # from the products: the screen's errors add.
+        s64, s32 = 2.0**-26.5 / near, 2.0**-12
+        rows = [
+            # Lloyd's and k_nearest_sets' screens; at a = 2^-8, the errors
+            # of ||p||^2 lead
+            lead(0.25, np.spacing(0.5) / 2 * near / (2 * s64)),
+            lead(2.0**-8, np.spacing(2.0**-7) / 2 * near / (2 * s64)),
+            # predict's float32 screen
+            lead(1.0, float(np.spacing(np.float32(2.0))) / 2 * near / (2 * s32)),
+            # the reference: (p - x)^2 leads with 4, then terms just above
+            # half an ulp of it
+            lead(-1.0, s64 - np.sqrt(np.spacing(4.0) / 2) * near),
+        ]
+        sites = [lead(1.0, s64), lead(1.0, s32)]
+        # At d = 1 there is no sum to build. The worst single terms come
+        # from pairs on opposite sides of the origin, found by a search
+        # over entries within 2^-22 of 1 and of 1/2, whose roundings
+        # (products, squares, sums, casts) err by almost half an ulp: the
+        # first pair's in float64, the second's in float32.
+        rows += [lead(-1.0000000182468598), lead(-0.5000000298405941)]
+        sites += [lead(1.0000000182410358), lead(1.0000002086977318)]
+        # Casts that all round one way: every entry of x and of 2 p lies
+        # just past a float32 rounding midpoint, so it rounds away from
+        # zero, and x = -p/2, so that each product and the bias err the
+        # same way and no cast's error cancels another's.
+        up = 2.0 ** -np.ceil(np.log2(d) / 2) * (1 + 2.0**-24 * near)
+        casts = up * np.where(np.arange(d) % 2, -1.0, 1.0)
+        rows.append(-casts / 2)
+        sites.append(casts)
+        # Subnormal entries, for the tau terms: below the smallest normal
+        # number of float32 (normal in float64), and of float64.
+        ramp = 1 + np.arange(d) / d
+        for tiny in (2.0**-130, 2.0**-1050):
+            rows.append(-tiny * ramp)
+            sites.append(tiny * ramp[::-1])
+        return np.array(rows), np.array(sites)
+
+    @pytest.mark.parametrize("d", [1, 2, 16, 617])
+    def test_built_worst_cases_within_the_derivation(self, monkeypatch, d):
+        # Every screen and the reference on the built rows, each value as
+        # the code forms it, within its derivation; and rounding_bound
+        # covers twice the sum of a screen's and the reference's errors,
+        # as the certificate needs. 64 rows and 16 sites: large enough for
+        # the BLAS's blocked kernels, which sum in another order than its
+        # small-matrix ones.
+        rows, sites = self.built_cases(d)
+        X, P = np.resize(rows, (64, d)), np.resize(sites, (16, d))
+        G = P.shape[0]
+        model = Model(points=P, labels=np.arange(G), source_classes=np.arange(G),
+                      n_classes=G, k=1)
+        f32_scores, _ = self.screened(monkeypatch, model, X)
+        lloyd_calls, knn_calls = [], []
+        select, partition = clustering.select, np.partition
+
+        def capture_lloyd(scores, bound, x, P):
+            lloyd_calls.append(scores.copy())
+            return select(scores, bound, x, P)
+
+        def capture_knn(scores, kth, axis):
+            knn_calls.append(scores.copy())
+            return partition(scores, kth, axis=axis)
+
+        monkeypatch.setattr(clustering, "select", capture_lloyd)
+        monkeypatch.setattr(np, "partition", capture_knn)
+        lloyd(X, P, max_iter=1)
+        k_nearest_sets(X, P, 1)
+        screens = [
+            (f32_scores, np.float32, gamma(d + 5, self.U32), (2 * d + 3) * self.TAU32),
+            (lloyd_calls[0], np.float64, gamma(d + 1, self.U64), 4 * d * self.TAU64),
+            (knn_calls[0], np.float64, gamma(d + 1, self.U64), 4 * d * self.TAU64),
+        ]
+        reference = np.array([exact_sq_dists(x, P) for x in X])
+        exact = {}
+        for a, b in np.ndindex(len(rows), len(sites)):
+            x, p = ([Fraction(e) for e in v.tolist()] for v in (rows[a], sites[b]))
+            exact[a, b] = (2 * sum(c * e for c, e in zip(p, x)) - sum(c * c for c in p),
+                           sum((c - e) ** 2 for c, e in zip(p, x)))
+        x_norms, p_norms = np.linalg.norm(X, axis=1), np.linalg.norm(P, axis=1)
+        for i, j in np.ndindex(X.shape[0], G):
+            form, dist = exact[i % len(rows), j % len(sites)]
+            r2 = Fraction(float(x_norms[i] + p_norms[j])) ** 2
+            ref_error = abs(Fraction(float(reference[i, j])) - dist)
+            assert ref_error <= gamma(d + 2, self.U64) * r2 + 3 * d * self.TAU64
+            for scores, dtype, screen_gamma, absolute in screens:
+                error = abs(Fraction(float(scores[i, j])) - form)
+                assert error <= screen_gamma * r2 + absolute
+                bound = rounding_bound(float(x_norms[i]), float(p_norms[j]), d, dtype)
+                assert 2 * (error + ref_error) <= Fraction(float(bound))
+
 
 class TestKNearestSets:
     @pytest.mark.parametrize("k", [1, 2, 5, 80])  # 80: every site
@@ -418,11 +523,18 @@ class TestSmallBlocks:
 
     def test_predict_query_layouts(self):
         rng = np.random.default_rng(16)
+        # float64 rows are read where they lie and others are cast, with
+        # and without a scaler, through the block path and the one-row path
         model = random_labeled_model(rng, d=3, n_gen=20)
-        bank = to_discriminants(model)
+        scaler = ScalerParams(mean=rng.normal(0.0, 1.0, 3), scale=rng.uniform(0.5, 2.0, 3))
         X = rng.normal(0.0, 3.0, size=(101, 3))
-        for Q in (np.asfortranarray(X), X[::2], X[:, ::-1], rng.integers(-4, 5, size=(57, 3))):
-            np.testing.assert_array_equal(predict(bank, Q), predict_oracle(model, Q))
+        layouts = (X, np.asfortranarray(X), X[::2], X[:, ::-1], X.astype(np.float32),
+                   rng.integers(-4, 5, size=(57, 3)))
+        for m in (model, replace(model, scaler=scaler)):
+            bank = to_discriminants(m)
+            for Q in layouts:
+                for rows in (Q, Q[:1], Q[-1:], np.asfortranarray(Q[2:3])):
+                    np.testing.assert_array_equal(predict(bank, rows), predict_oracle(m, rows))
 
 
 class TestKnnTies:

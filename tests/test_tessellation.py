@@ -577,6 +577,29 @@ class TestCorrect:
         assert peak < n * d * 8
         assert fixed == multi_pass_correct(model, train)
 
+    def test_unscaled_rows_read_in_place(self):
+        # with no scaler, the scan reads float64 rows where they lie: at the
+        # default block size the whole input is one block, and correct and
+        # predict hold its float32 scores and queries, a few row-long
+        # vectors, and no n x d float64 block beside them
+        rng = np.random.default_rng(62)
+        n, d, G = 20000, 16, 26
+        model = random_labeled_model(rng, d=d, n_gen=G, n_classes=5)
+        train = Dataset(X=rng.normal(0.0, 3.0, (n, d)), y=rng.integers(5, size=n), n_classes=5)
+        bank = to_discriminants(model)
+        assert _nearest.block_rows(max(G, d + 1)) >= n
+        float32_blocks = n * (d + 1) * 4 + n * G * 4
+        for run in (lambda: correct(model, train), lambda: predict(bank, train.X)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < float32_blocks + n * d * 8
+        np.testing.assert_array_equal(predict(bank, train.X), predict_oracle(model, train.X))
+        assert correct(model, train) == multi_pass_correct(model, train)
+
     def test_training_row_overflowing_in_scaling_named(self):
         # as predict does: the scaled row would be inf, which no cell can
         # hold honestly, so it is rejected rather than counted in cell 0
