@@ -3,7 +3,6 @@ the tessellation classifier against a brute-force KNN baseline."""
 
 from __future__ import annotations
 
-import csv
 import io
 import os
 import statistics
@@ -15,7 +14,7 @@ import numpy as np
 
 from ._nearest import k_nearest_sets
 from .clustering import KMeansConfig
-from .cli import _within_fit_budget
+from .cli import _csv_cell, _within_fit_budget
 from .datasets import (
     Dataset,
     load_benchmark_dataset,
@@ -265,6 +264,11 @@ def _cell_text(cell: BenchCell, kind: str) -> str:
     return f"{stat.mean_ms:.1f}({stat.std_ms:.1f})"
 
 
+def _md_cell(name: str) -> str:
+    """name as one markdown table cell: a `|` in it is escaped."""
+    return name.replace("|", "\\|")
+
+
 def _markdown(report: BenchReport) -> str:
     out = io.StringIO()
     sections = [
@@ -274,39 +278,37 @@ def _markdown(report: BenchReport) -> str:
     ]
     for title, kind in sections:
         out.write(f"## {title}\n\n")
-        out.write("| algorithm | " + " | ".join(report.datasets) + " |\n")
+        out.write("| algorithm | " + " | ".join(map(_md_cell, report.datasets)) + " |\n")
         out.write("|---" * (len(report.datasets) + 1) + "|\n")
         for algo in report.algos:
             row = [
                 _cell_text(report.cells.get((ds, algo)), kind) for ds in report.datasets
             ]
-            out.write("| " + " | ".join([algo] + row) + " |\n")
+            out.write("| " + " | ".join([_md_cell(algo)] + row) + " |\n")
         out.write("\n")
     return out.getvalue()
 
 
 def _csv(report: BenchReport) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow([
+    rows = [[
         "dataset", "algorithm", "accuracy", "train_mean_ms", "train_std_ms",
         "infer_mean_ms", "infer_std_ms", "repetitions", "error",
-    ])
+    ]]
     for ds in report.datasets:
         for algo in report.algos:
             cell = report.cells.get((ds, algo))
             if cell is None:
                 continue
             if cell.error is not None:
-                writer.writerow([ds, algo, "", "", "", "", "", "", cell.error])
+                rows.append([ds, algo, "", "", "", "", "", "", cell.error])
             else:
-                writer.writerow([
+                rows.append([
                     ds, algo, repr(cell.accuracy),
                     repr(cell.train.mean_ms), repr(cell.train.std_ms),
                     repr(cell.infer.mean_ms), repr(cell.infer.std_ms),
-                    cell.train.repetitions, "",
+                    str(cell.train.repetitions), "",
                 ])
-    return out.getvalue()
+    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
 
 
 def emit_report(report: BenchReport, format: str = "markdown") -> str:

@@ -1,14 +1,15 @@
 """Command-line front end: synthesize data, fit/save models, predict,
 export decision grids, benchmark, fetch datasets.
 
-Exit codes: 0 success, 1 runtime/IO failure, 2 usage error. Handlers
-raise UsageError for a bad flag value (exit 2), including a request for
-more than MAX_VALUES float64 values, and ValueError, OSError,
+Exit codes: 0 success, 1 runtime/IO failure, 2 usage error. The parser
+and the handlers raise UsageError for a command line that does not parse
+or a bad flag value (exit 2), including a request for more than
+MAX_VALUES float64 values, and handlers raise ValueError, OSError,
 RuntimeError or MemoryError for any other failure (exit 1); main alone
-prints the one stderr line `error: ...`, which for bench and fetch
---verify lists every failure. The benchmark harness and the fetcher are
-imported inside their handlers, so fit, predict, grid and synth never
-load them.
+prints the one stderr line `error: ...`, line breaks escaped, which for
+bench and fetch --verify lists every failure, and returns the exit code
+(only --help exits). The benchmark harness and the fetcher are imported
+inside their handlers, so fit, predict, grid and synth never load them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,20 @@ from .clustering import KMeansConfig
 MAX_VALUES = 1 << 26
 
 
+# Each character str.splitlines breaks a line at, as its escape sequence.
+_ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 class UsageError(ValueError):
-    """A bad flag value: main reports it with exit code 2."""
+    """A bad command line or flag value: main reports it with exit code 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subparsers, that raises
+    UsageError where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _require(ok, message: str) -> None:
@@ -40,9 +53,10 @@ def _require(ok, message: str) -> None:
 
 
 def _at_least(args, least: int, *flags: str) -> None:
-    """Refuse the first of these integer flags that is below least."""
+    """Refuse the first of these integer flags that is given and below least."""
     for flag in flags:
-        _require(getattr(args, flag[2:].replace("-", "_")) >= least, f"{flag} must be >= {least}")
+        value = getattr(args, flag[2:].replace("-", "_"))
+        _require(value is None or value >= least, f"{flag} must be >= {least}")
 
 
 def _within_budget(values: int, request: str) -> None:
@@ -84,7 +98,7 @@ def _parse_label_col(value: str):
 
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentDefaultsHelpFormatter
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="superklust",
         description="Piecewise-linear classification with labeled Voronoi generator points.",
     )
@@ -112,9 +126,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--has-header", action="store_true")
     p.add_argument("--k", type=int, default=10, help="clusters per class")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--max-iter", type=int, default=100)
+    p.add_argument("--seed", type=int, default=KMeansConfig.seed)
+    p.add_argument("--restarts", type=int, default=KMeansConfig.n_restarts)
+    p.add_argument("--max-iter", type=int, default=KMeansConfig.max_iter)
     p.add_argument(
         "--standardize", action="store_true", help="train-fit standardization, kept in the model"
     )
@@ -151,12 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
         "(moons,circles,blobs) run anywhere",
     )
     p.add_argument("--algos", default="superklust,knn", help="comma list")
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--repetitions", type=int, default=10)
-    p.add_argument("--warmup", type=int, default=2)
-    p.add_argument("--knn-neighbors", type=int, default=3)
+    # None takes BenchConfig's default; the harness loads only when bench runs
+    for flag in ("--k", "--seed", "--restarts", "--repetitions", "--warmup", "--knn-neighbors"):
+        p.add_argument(flag, type=int)
     p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--data-dir", default=None, help="defaults to $DATA_DIR or ./data")
     p.add_argument("--format", choices=["markdown", "csv"], default="markdown")
@@ -250,7 +261,8 @@ def cmd_predict(args) -> None:
         X = datasets.load_csv_features(args.data, has_header=args.has_header)
     bank = tessellation.to_discriminants(model)
     labels = tessellation.predict(bank, X)
-    cells = [_csv_cell(name) + "\n" for name in names]
+    # a lone empty cell is written "" so that the row is not blank
+    cells = [(_csv_cell(name) or '""') + "\n" for name in names]
     _write_out(args.out, "label\n" + "".join(cells[lab] for lab in labels.tolist()))
     if truth is not None:
         print(f"accuracy: {float((labels == truth).mean()):.4f}")
@@ -283,14 +295,13 @@ def cmd_bench(args) -> None:
     _require(names and algos, "--datasets and --algos must be nonempty")
     unknown = sorted(set(algos) - set(ALGORITHMS))
     _require(not unknown, f"unknown algorithm(s): {', '.join(unknown)}")
+    given = dict(
+        k=args.k, seed=args.seed, n_restarts=args.restarts,
+        repetitions=args.repetitions, warmup=args.warmup, knn_neighbors=args.knn_neighbors,
+    )
     config = BenchConfig(
-        k=args.k,
-        seed=args.seed,
-        n_restarts=args.restarts,
+        **{name: value for name, value in given.items() if value is not None},
         standardize=not args.no_standardize,
-        repetitions=args.repetitions,
-        warmup=args.warmup,
-        knn_neighbors=args.knn_neighbors,
         data_dir=_data_dir(args),
     )
     report = run_benchmark(names, algos, config)
@@ -319,11 +330,11 @@ def cmd_fetch(args) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         args.handler(args)
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
-        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        print(f"error: {(str(exc) or type(exc).__name__).translate(_ONE_LINE)}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
     return 0
 

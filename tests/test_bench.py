@@ -274,14 +274,22 @@ class TestEmitReport:
         assert rows[0]["accuracy"] == ""
         assert "FileNotFoundError" in rows[0]["error"]
 
+    def test_markdown_escapes_pipes(self, tmp_path):
+        report = run_benchmark(["a|b"], ["knn"], quick_config(data_dir=str(tmp_path)))
+        text = emit_report(report, format="markdown")
+        header, separator = [l for l in text.splitlines() if l.startswith("|")][:2]
+        assert header == r"| algorithm | a\|b |"
+        cells = [re.split(r"(?<!\\)\|", line) for line in (header, separator)]
+        assert len(cells[0]) == len(cells[1]) == 4
+
     def test_csv_error_and_name_read_back_unaltered(self, tmp_path):
-        # both errors hold '"' and ','; the second name holds them too
-        report = run_benchmark(
-            ["it's", 'a,"b'], ["knn"], quick_config(data_dir=str(tmp_path))
-        )
-        rows = list(csv.DictReader(io.StringIO(emit_report(report, format="csv"))))
+        # every error holds '"' and ','; the names hold them, '\r' and '\n'
+        names = ["it's", 'a,"b', "it's\rb", "it's\nb"]
+        report = run_benchmark(names, ["knn"], quick_config(data_dir=str(tmp_path)))
+        text = emit_report(report, format="csv")
+        rows = list(csv.DictReader(io.StringIO(text, newline="")))
         assert [(row["dataset"], row["algorithm"]) for row in rows] == [
-            ("it's", "knn"), ('a,"b', "knn")
+            (name, "knn") for name in names
         ]
         for row in rows:
             error = report.cells[(row["dataset"], "knn")].error

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -155,7 +156,7 @@ class TestFit:
             (("--restarts", "0"), "error: --restarts must be >= 1"),
             (("--max-iter", "0"), "error: --max-iter must be >= 1"),
             (("--seed", "-1"), "error: --seed must be >= 0"),
-            (("--tol", "1e-6"), "superklust: error: unrecognized arguments: --tol 1e-6"),
+            (("--tol", "1e-6"), "error: unrecognized arguments: --tol 1e-6"),
         ],
         ids=["k", "restarts", "max-iter", "seed", "tol"],
     )
@@ -213,6 +214,20 @@ class TestFit:
             f"training accuracy: {evaluate(model, ds):.4f}",
         ]
         assert evaluate(model, ds) == 1.0
+
+    def test_parse_error_is_one_line(self, tmp_path):
+        data = synth(tmp_path, "moons", "--n", "20")
+        proc = run_cli("fit", "--data", str(data), "--k", "x", "--out", str(tmp_path / "m.json"))
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == ["error: argument --k: invalid int value: 'x'"]
+        assert proc.stdout == ""
+
+    def test_defaults_are_the_config_defaults(self):
+        args = cli.build_parser().parse_args(["fit", "--data", "d.csv", "--out", "m.json"])
+        config = KMeansConfig(k=args.k)
+        assert (args.seed, args.restarts, args.max_iter) == (
+            config.seed, config.n_restarts, config.max_iter
+        )
 
     def test_scaler_out_exits_2(self, tmp_path):
         # removed flags: the scaler sidecar, and the correction pass limit
@@ -293,6 +308,23 @@ class TestPredict:
         assert proc.stdout.splitlines() == [
             "label", '"x,y"', '"x,y"', '"say ""hi"""', '"say ""hi"""', "accuracy: 1.0000"
         ]
+
+    def test_empty_token_keeps_its_row(self, tmp_path):
+        # an empty label token is written "", not as a blank line
+        train = tmp_path / "train.csv"
+        train.write_text("0,0,\n0.1,0,\n5,5,b\n5.1,5,b\n")
+        model_path = tmp_path / "model.json"
+        proc = run_cli("fit", "--data", str(train), "--k", "1", "--out", str(model_path))
+        assert proc.returncode == 0, proc.stderr
+        out = tmp_path / "pred.csv"
+        proc = run_cli("predict", "--model", str(model_path), "--data", str(train),
+                       "--label-col", "-1", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["accuracy: 1.0000"]
+        assert out.read_text() == 'label\n""\n""\nb\nb\n'
+        with out.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["label"], [""], [""], ["b"], ["b"]]
 
     def test_version_1_model_exits_1(self, tmp_path):
         model_path = tmp_path / "model.json"
@@ -530,6 +562,23 @@ class TestBench:
         assert proc.returncode == 1
         assert "letter" in proc.stderr and "failed" in proc.stderr
 
+    def test_defaults_are_the_config_defaults(self, monkeypatch, capsys):
+        from superklust import bench
+
+        seen = []
+
+        def record(names, algos, config):
+            seen.append(config)
+            return bench.BenchReport(datasets=[], algos=[], cells={})
+
+        monkeypatch.setattr(bench, "run_benchmark", record)
+        assert cli.main(["bench", "--data-dir", "d"]) == 0
+        assert cli.main(["bench", "--data-dir", "d", "--k", "3", "--restarts", "2"]) == 0
+        capsys.readouterr()
+        assert seen == [
+            bench.BenchConfig(data_dir="d"), bench.BenchConfig(k=3, n_restarts=2, data_dir="d")
+        ]
+
     def test_overflowing_standardization_still_writes_report(self, tmp_path, capsys):
         letter = tmp_path / "letter"
         letter.mkdir()
@@ -610,7 +659,7 @@ class TestReadme:
         for line in lines:
             try:
                 parser.parse_args(shlex.split(line)[1:])
-            except SystemExit:
+            except cli.UsageError:
                 pytest.fail(f"README command does not parse: {line}")
 
 
@@ -624,6 +673,14 @@ class TestHelpAndDispatch:
         assert proc.returncode == 0
         for name in ("synth", "fit", "predict", "grid", "bench", "fetch"):
             assert name in proc.stdout
+
+    def test_help_exits_0_in_process(self, capsys):
+        for argv in (["--help"], ["fit", "--help"]):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(argv)
+            assert exit_info.value.code == 0
+            out = capsys.readouterr()
+            assert out.out.startswith("usage: superklust") and out.err == ""
 
     def test_subcommand_help_shows_defaults(self):
         proc = run_cli("fit", "--help")
@@ -714,6 +771,7 @@ CONTRACT_CASES = [
     ("grid-nan", 2, "grid --model {model} --x-min nan"),
     ("grid-inf", 2, "grid --model {model} --y-max inf"),
     ("grid-width-overflow", 2, "grid --model {model} --x-min=-1e308 --x-max=1e308"),
+    ("grid-exponent-negative", 2, "grid --model {model} --x-min -1e308 --x-max 1e308"),
     ("grid-scale-overflow", 1, "grid --model {scaled} --x-max 1e300 --resolution 2"),
     ("grid-resolution-1", 2, "grid --model {model} --resolution 1"),
     ("synth-noise-nan", 1, "synth moons --noise nan --out {d}/s.csv"),
@@ -740,6 +798,11 @@ CONTRACT_CASES = [
     ("fetch-manifest-non-utf8", 1, "fetch --verify --data-dir {d}/manifest_latin1"),
     ("fetch-manifest-dir", 1, "fetch --verify --data-dir {d}/manifest_dir"),
     ("fetch-two-mismatches", 1, "fetch --verify --data-dir {d}/mismatch"),
+    ("parse-unknown-flag", 2, "fit --data {d}/train.csv --tol 1e-6 --out {d}/m.json"),
+    ("parse-bad-int", 2, "fit --data {d}/train.csv --k x --out {d}/m.json"),
+    ("parse-missing-required", 2, "predict --data {d}/train.csv"),
+    ("parse-no-subcommand", 2, ""),
+    ("parse-bad-choice", 2, "synth nope --out {d}/s.csv"),
 ]
 
 # Requests beyond cli.MAX_VALUES; big.csv is 4096 rows of one class,
@@ -799,7 +862,10 @@ class TestErrorContract:
     def test_one_error_line(self, paths, capsys, code, template):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert cli.main(self.argv(template, paths)) == code
+            try:
+                assert cli.main(self.argv(template, paths)) == code
+            except SystemExit as exc:
+                pytest.fail(f"cli.main raised SystemExit({exc.code})")
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
         assert [str(w.message) for w in caught] == []
@@ -814,6 +880,41 @@ class TestErrorContract:
         for cell in ("(nosuch, superklust)", "(nosuch, knn)", "(letter, superklust)",
                      "(letter, knn)"):
             assert f"cell {cell} failed: " in line
+
+    def test_exponent_negative_parses_in_the_equals_form(self, paths, capsys):
+        too_wide = "error: the grid's width and height must be finite\n"
+        argv = self.argv("grid --model {model} --x-min=-1e308 --x-max=1e308", paths)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == too_wide
+        # argparse of Python 3.11 reads a separate -1e308 as a flag
+        argv = self.argv("grid --model {model} --x-min -1e308 --x-max 1e308", paths)
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err in (
+            "error: argument --x-min: expected one argument\n", too_wide
+        )
+
+    @pytest.mark.parametrize("name, shown", [("a\nb", r"a\nb"), ("a\rb", r"a\rb")],
+                             ids=["newline", "carriage-return"])
+    def test_line_break_in_dataset_name_is_escaped(self, capsys, name, shown):
+        argv = ["bench", "--datasets", name, "--algos", "knn", "--repetitions", "1"]
+        assert cli.main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: cell ({shown}, knn) failed: ")
+
+    def test_every_line_break_is_escaped(self, monkeypatch, capsys):
+        text = "".join(map(chr, range(0x110000)))
+        breaks = [piece[-1] for piece in text.splitlines(keepends=True)][:-1]
+        assert "\n" in breaks and "\u2028" in breaks
+
+        def handler(args):
+            raise ValueError("x" + "y".join(breaks) + "\tz\\é")
+
+        monkeypatch.setattr(cli, "cmd_synth", handler)
+        assert cli.main(["synth", "moons", "--out", "unused.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: x" + "y".join(repr(c)[1:-1] for c in breaks) + "\tz\\é"
+        ]
 
     def test_unknown_algorithm_runs_no_cell(self, monkeypatch, capsys):
         from superklust import bench

@@ -1,7 +1,12 @@
 import base64
+import hashlib
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -26,6 +31,8 @@ from superklust import (
     make_moons,
     predict,
     save_model,
+    standardize_apply,
+    standardize_fit,
     to_discriminants,
 )
 from superklust import _nearest, tessellation
@@ -990,3 +997,49 @@ class TestSerialization:
         for exc_type in (MalformedModelError, ModelVersionError, NonFiniteModelError):
             assert issubclass(exc_type, ModelFormatError)
             assert issubclass(exc_type, ValueError)
+
+
+def pinned_digests():
+    """sha256(save_model(m))[:16] of three fits: moons; 16-D blobs with
+    restarts; the same blobs standardized, with the scaler kept."""
+    blobs = make_gaussian_blobs(
+        150, np.random.default_rng(3).uniform(-10, 10, (4, 16)), 4.0, seed=4
+    )
+    scaler = standardize_fit(blobs)
+    models = [
+        fit(make_moons(400, 0.15, seed=0), KMeansConfig(k=5, seed=0)),
+        fit(blobs, KMeansConfig(k=8, n_restarts=3, seed=2)),
+        replace(fit(standardize_apply(scaler, blobs), KMeansConfig(k=8, seed=5)), scaler=scaler),
+    ]
+    return [hashlib.sha256(save_model(model)).hexdigest()[:16] for model in models]
+
+
+PINNED_DIGESTS = ["285da8daae2d584f", "c87f7838b3bee7db", "ab52bc4f45f99b7d"]
+
+
+class TestPinnedDigests:
+    """Model bytes do not move with the code, the BLAS thread count or
+    OpenBLAS's kernel (Prescott has no AVX, Sandybridge no FMA)."""
+
+    def test_in_process(self):
+        assert pinned_digests() == PINNED_DIGESTS
+
+    @pytest.mark.parametrize(
+        "env",
+        [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"},
+         {"OPENBLAS_CORETYPE": "Prescott"}, {"OPENBLAS_CORETYPE": "Sandybridge"}],
+        ids=["threads-1", "threads-2", "prescott", "sandybridge"],
+    )
+    def test_in_a_process_under(self, env):
+        # the test module and the package it imports, by absolute path
+        paths = [str(Path(__file__).resolve().parent), str(Path(tessellation.__file__).parents[1])]
+        code = (
+            "import sys; sys.path[:0] = sys.argv[1:]; import test_tessellation as t; "
+            "print(*t.pinned_digests())"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *paths],
+            capture_output=True, text=True, env={**os.environ, **env}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == PINNED_DIGESTS
