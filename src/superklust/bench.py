@@ -14,7 +14,7 @@ import numpy as np
 
 from ._nearest import k_nearest_sets
 from .clustering import KMeansConfig
-from .cli import _csv_cell, _within_fit_budget
+from .cli import _ONE_LINE, _csv_cell, _within_fit_budget
 from .datasets import (
     Dataset,
     load_benchmark_dataset,
@@ -265,8 +265,9 @@ def _cell_text(cell: BenchCell, kind: str) -> str:
 
 
 def _md_cell(name: str) -> str:
-    """name as one markdown table cell: a `|` in it is escaped."""
-    return name.replace("|", "\\|")
+    """name as one markdown table cell: a `|` in it is escaped, and each
+    line break written as its escape sequence (see cli._ONE_LINE)."""
+    return name.replace("|", "\\|").translate(_ONE_LINE)
 
 
 def _markdown(report: BenchReport) -> str:

@@ -240,21 +240,15 @@ def _csv_cell(token: str) -> str:
     return token
 
 
-def _label_names(model) -> tuple[str, ...]:
-    """The label token of each class id of model."""
-    return model.label_names or tuple(map(str, range(model.n_classes)))
-
-
 def cmd_predict(args) -> None:
     model = tessellation.load_model(Path(args.model).read_bytes())
-    names = _label_names(model)
     truth = None
     if args.label_col is not None:
         ds = datasets.load_csv(
             args.data,
             label_column=_parse_label_col(args.label_col),
             has_header=args.has_header,
-            label_map={tok: i for i, tok in enumerate(names)},
+            label_names=model.label_names,
         )
         X, truth = ds.X, ds.y
     else:
@@ -262,7 +256,7 @@ def cmd_predict(args) -> None:
     bank = tessellation.to_discriminants(model)
     labels = tessellation.predict(bank, X)
     # a lone empty cell is written "" so that the row is not blank
-    cells = [(_csv_cell(name) or '""') + "\n" for name in names]
+    cells = [(_csv_cell(name) or '""') + "\n" for name in model.label_names]
     _write_out(args.out, "label\n" + "".join(cells[lab] for lab in labels.tolist()))
     if truth is not None:
         print(f"accuracy: {float((labels == truth).mean()):.4f}")
@@ -279,7 +273,7 @@ def cmd_grid(args) -> None:
     xy, labels = datasets.decision_grid(
         bank, (args.x_min, args.x_max), (args.y_min, args.y_max), args.resolution
     )
-    cells = [_csv_cell(name) for name in _label_names(model)]
+    cells = [_csv_cell(name) for name in model.label_names]
     datasets.write_grid_csv(
         sys.stdout if args.out == "-" else args.out, xy, [cells[lab] for lab in labels.tolist()]
     )

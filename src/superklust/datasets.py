@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tessellation import DiscriminantBank, ScalerParams, predict
+from .tessellation import DiscriminantBank, ScalerParams, _count, predict
 
 __all__ = [
     "Dataset",
@@ -36,7 +36,9 @@ __all__ = [
 
 @dataclass
 class Dataset:
-    """Dense feature matrix with contiguous integer class labels.
+    """Dense feature matrix with contiguous integer class labels;
+    n_classes is an integer >= 1 (numpy integers are stored as int,
+    bools refused).
 
     label_names, when present, maps each class id back to the original
     label token of the source file (position = id).
@@ -45,7 +47,6 @@ class Dataset:
     X: np.ndarray
     y: np.ndarray
     n_classes: int
-    name: str = ""
     label_names: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -61,8 +62,7 @@ class Dataset:
             raise ValueError("y must have one label per row of X")
         if not np.isfinite(self.X).all():
             raise ValueError("non-finite feature in X")
-        if self.n_classes < 1:
-            raise ValueError("n_classes must be positive")
+        self.n_classes = _count("n_classes", self.n_classes, 1)
         if self.y.min() < 0 or self.y.max() >= self.n_classes:
             raise ValueError(f"labels must lie in [0, {self.n_classes})")
 
@@ -94,7 +94,7 @@ def make_moons(n: int, noise: float, seed: int) -> Dataset:
     y = np.repeat([0, 1], half)
     rng = np.random.default_rng(seed)
     X = X + rng.normal(0.0, noise, X.shape)
-    return Dataset(X=X, y=y, n_classes=2, name=f"moons(n={n},noise={noise},seed={seed})")
+    return Dataset(X=X, y=y, n_classes=2)
 
 
 def make_circles(n: int, factor: float, noise: float, seed: int) -> Dataset:
@@ -113,9 +113,7 @@ def make_circles(n: int, factor: float, noise: float, seed: int) -> Dataset:
     y = np.repeat([0, 1], half)
     rng = np.random.default_rng(seed)
     X = X + rng.normal(0.0, noise, X.shape)
-    return Dataset(
-        X=X, y=y, n_classes=2, name=f"circles(n={n},factor={factor},noise={noise},seed={seed})"
-    )
+    return Dataset(X=X, y=y, n_classes=2)
 
 
 def make_gaussian_blobs(n_per_class: int, centers, sigma: float, seed: int) -> Dataset:
@@ -136,44 +134,35 @@ def make_gaussian_blobs(n_per_class: int, centers, sigma: float, seed: int) -> D
         [centers[c] + rng.normal(0.0, sigma, (n_per_class, d)) for c in range(n_classes)]
     )
     y = np.repeat(np.arange(n_classes), n_per_class)
-    return Dataset(
-        X=X,
-        y=y,
-        n_classes=n_classes,
-        name=f"blobs(n_per_class={n_per_class},classes={n_classes},sigma={sigma},seed={seed})",
-    )
+    return Dataset(X=X, y=y, n_classes=n_classes)
 
 
-def _labeled(path: Path, X, token_idx, tokens: list[str], label_map: dict[str, int] | None):
+def _labeled(path: Path, X, token_idx, tokens: list[str], label_names: tuple[str, ...] | None):
     """Dataset of X whose row i has the distinct label token tokens[token_idx[i]].
 
-    Without a map, tokens sort ascending (numerically when every token
-    parses as a number, else lexicographically) and ids follow that
-    order; with a map, unknown tokens are an error. The id -> token
-    mapping lands in label_names and in the name metadata.
+    Without label_names, tokens sort ascending (numerically when every
+    token parses as a number, else lexicographically) and ids follow
+    that order; with them, the id of a token is its position in
+    label_names, and a token not among them is an error. The id -> token
+    mapping lands in label_names.
     """
-    if label_map is None:
-        distinct = sorted(tokens)
+    if label_names is None:
+        label_names = sorted(tokens)
         try:
-            distinct.sort(key=float)
+            label_names.sort(key=float)
         except ValueError:
             pass
-        label_map = {tok: i for i, tok in enumerate(distinct)}
-    names = [None] * (max(label_map.values()) + 1)
-    for tok, i in label_map.items():
-        names[i] = tok
-    if any(n is None for n in names):
-        raise ValueError("label_map ids must be contiguous from 0")
-    unknown = [tok for tok in tokens if tok not in label_map]
+    ids = {tok: i for i, tok in enumerate(label_names)}
+    if len(ids) != len(label_names):
+        raise ValueError("label_names must not repeat a token")
+    unknown = [tok for tok in tokens if tok not in ids]
     if unknown:
         raise ValueError(f"{path.name}: unknown label {unknown[0]!r}")
-    names = tuple(str(t) for t in names)
     return Dataset(
         X=X,
-        y=np.array([label_map[tok] for tok in tokens], dtype=np.int64)[token_idx],
-        n_classes=len(names),
-        name=f"{path.name}|labels={','.join(names)}",
-        label_names=names,
+        y=np.array([ids[tok] for tok in tokens], dtype=np.int64)[token_idx],
+        n_classes=len(ids),
+        label_names=tuple(label_names),
     )
 
 
@@ -251,17 +240,17 @@ def _read_csv(path: Path, label_column, has_header: bool):
 
 
 def load_csv(
-    path, label_column, has_header: bool = False, label_map: dict[str, int] | None = None
+    path, label_column, has_header: bool = False, label_names: tuple[str, ...] | None = None
 ) -> Dataset:
     """Load a comma-separated file into a Dataset.
 
     label_column is a 0-based column index (negative counts from the
     end) or, when has_header is set, a column name. All other columns
-    become features in file order. Labels map to contiguous ids (see
-    _labeled).
+    become features in file order. Labels map to contiguous ids, in the
+    order of label_names when it is given (see _labeled).
     """
     path = Path(path)
-    return _labeled(path, *_read_csv(path, label_column, has_header), label_map)
+    return _labeled(path, *_read_csv(path, label_column, has_header), label_names)
 
 
 def load_csv_features(path, has_header: bool = False) -> np.ndarray:
@@ -269,7 +258,7 @@ def load_csv_features(path, has_header: bool = False) -> np.ndarray:
     return _read_csv(Path(path), None, has_header)[0]
 
 
-def load_svmlight(path, n_features: int, label_map: dict[str, int] | None = None) -> Dataset:
+def load_svmlight(path, n_features: int, label_names: tuple[str, ...] | None = None) -> Dataset:
     """Load a "label idx:val ..." file with 1-based feature indices into
     a dense Dataset; absent indices are zero. Comment lines (leading
     '#') and blank lines are skipped."""
@@ -307,7 +296,7 @@ def load_svmlight(path, n_features: int, label_map: dict[str, int] | None = None
             rows.append(row)
     if not rows:
         raise ValueError(f"{path.name}: no data rows")
-    return _labeled(path, np.vstack(rows), token_idx, list(tokens), label_map)
+    return _labeled(path, np.vstack(rows), token_idx, list(tokens), label_names)
 
 
 def standardize_fit(train: Dataset) -> ScalerParams:
@@ -387,7 +376,7 @@ BENCHMARK_DATASETS = {
 def load_benchmark_dataset(name: str, data_dir) -> tuple[Dataset, Dataset]:
     """Load the train/test pair of a fetched real-world dataset.
 
-    The test file reuses the training file's label mapping so class ids
+    The test file reuses the training file's label_names so class ids
     agree across the split even if the test file misses a class.
     """
     if name not in BENCHMARK_DATASETS:
@@ -407,7 +396,4 @@ def load_benchmark_dataset(name: str, data_dir) -> tuple[Dataset, Dataset]:
     else:
         load = partial(load_svmlight, n_features=info["n_features"])
     train = load(train_path)
-    test = load(test_path, label_map={tok: i for i, tok in enumerate(train.label_names)})
-    train.name = f"{name}/train"
-    test.name = f"{name}/test"
-    return train, test
+    return train, load(test_path, label_names=train.label_names)

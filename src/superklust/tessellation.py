@@ -76,6 +76,19 @@ class NonFiniteModelError(ModelFormatError):
     code = "non-finite"
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int >= least: numpy integers are accepted, bools refused."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise ValueError(f"{name} must be a {kind} integer")
+    return int(value)
+
+
+def _id_names(n_classes: int) -> tuple[str, ...]:
+    """The default label names of n_classes classes: "0", "1", ..."""
+    return tuple(map(str, range(n_classes)))
+
+
 class _ArrayEq:
     """Dataclass equality that compares array fields with np.array_equal."""
 
@@ -132,10 +145,9 @@ class Model(_ArrayEq):
     n_classes and k are integers >= 1, correction_iterations (see
     correct) one >= 0; numpy integers are stored as int, bools refused.
 
-    label_names, when present, holds the label token of each class id
-    (position = id) in the data the model was fitted on; None means the
-    ids are the names, and names that are exactly "0", "1", ... are
-    stored as None.
+    label_names holds the n_classes distinct label tokens of the data
+    the model was fitted on, the token of each class id at its position;
+    None stores the ids themselves as names, "0", "1", ...
 
     scaler, when present, maps raw feature rows to the coordinates of
     points: predict (through the bank), evaluate and correct take raw
@@ -153,11 +165,7 @@ class Model(_ArrayEq):
 
     def __post_init__(self):
         for name, least in (("n_classes", 1), ("k", 1), ("correction_iterations", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-                kind = "positive" if least else "nonnegative"
-                raise ValueError(f"{name} must be a {kind} integer")
-            setattr(self, name, int(value))
+            setattr(self, name, _count(name, getattr(self, name), least))
         points = np.array(self.points, dtype=np.float64)
         if points.ndim != 2 or points.size == 0:
             raise ValueError(f"points must be a nonempty (G, d) matrix, not shape {points.shape}")
@@ -186,15 +194,14 @@ class Model(_ArrayEq):
                 f"dimension mismatch: scaler has {self.scaler.mean.size} features, "
                 f"model has {self.d}"
             )
-        if self.label_names is not None:
-            names = tuple(self.label_names)
-            if (
-                len(names) != self.n_classes
-                or not all(isinstance(t, str) for t in names)
-                or len(set(names)) != len(names)
-            ):
-                raise ValueError(f"label_names must be {self.n_classes} distinct strings")
-            self.label_names = None if names == tuple(map(str, range(self.n_classes))) else names
+        names = _id_names(self.n_classes) if self.label_names is None else tuple(self.label_names)
+        if (
+            len(names) != self.n_classes
+            or not all(isinstance(t, str) for t in names)
+            or len(set(names)) != len(names)
+        ):
+            raise ValueError(f"label_names must be {self.n_classes} distinct strings")
+        self.label_names = names
 
     @property
     def d(self) -> int:
@@ -448,7 +455,8 @@ def fit(train: "Dataset", config: KMeansConfig) -> Model:
     clusters with config's fields and seed config.seed + c *
     config.n_restarts, so that no two (class, restart) pairs share a
     seed; the whole fit is deterministic given (train, config). The
-    model keeps train.label_names and has no scaler.
+    model keeps train.label_names (the ids when it has none) and has no
+    scaler.
     """
     if train.X.shape[0] == 0:
         raise ValueError("training set must not be empty")
@@ -463,17 +471,12 @@ def fit(train: "Dataset", config: KMeansConfig) -> Model:
     return correct(model, train)
 
 
-def evaluate(model_or_bank, test: "Dataset") -> float:
+def evaluate(model: Model, test: "Dataset") -> float:
     """Fraction of test rows (raw rows, see Model.scaler) whose predicted
     label matches the truth."""
     if test.X.shape[0] == 0:
         raise ValueError("empty test set")
-    bank = (
-        model_or_bank
-        if isinstance(model_or_bank, DiscriminantBank)
-        else to_discriminants(model_or_bank)
-    )
-    return float((predict(bank, test.X) == np.asarray(test.y)).mean())
+    return float((predict(to_discriminants(model), test.X) == np.asarray(test.y)).mean())
 
 
 _MODEL_VERSION = 2
@@ -488,10 +491,11 @@ def save_model(model: Model) -> bytes:
 
     The object holds, in this order, version, d, n_classes, k,
     correction_iterations, labels and source_classes (one integer per
-    generator), label_names when the model has them, scaler when the
-    model has one, and points. points is the (G, d) generator matrix as
-    little-endian float64 bytes in model order, base64-encoded; scaler
-    is the (2, d) matrix [mean; scale] encoded the same way. The bytes
+    generator), label_names when they differ from the ids "0", "1", ...,
+    scaler when the model has one, and points. points is the (G, d)
+    generator matrix as little-endian float64 bytes in model order,
+    base64-encoded; scaler is the (2, d) matrix [mean; scale] encoded
+    the same way. The bytes
     are the floats themselves, so load_model(save_model(m)) reproduces m
     bit-exactly and identical models give identical documents. Decimal
     text would cost more than the rest of a save or load: at 520 x 617
@@ -507,7 +511,7 @@ def save_model(model: Model) -> bytes:
         "labels": model.labels.tolist(),
         "source_classes": model.source_classes.tolist(),
     }
-    if model.label_names is not None:
+    if model.label_names != _id_names(model.n_classes):
         doc["label_names"] = list(model.label_names)
     if model.scaler is not None:
         doc["scaler"] = _b64_f8(np.stack([model.scaler.mean, model.scaler.scale]))
@@ -543,8 +547,8 @@ def load_model(data: bytes | str) -> Model:
     unsupported versions (version 1 included: its models must be
     refitted), and non-finite coordinates or scaler entries
     respectively; Model checks what decoding does not.
-    correction_iterations, label_names and scaler are optional, and
-    correction_iterations defaults to 0.
+    correction_iterations, label_names and scaler are optional:
+    correction_iterations defaults to 0 and label_names to the ids.
     """
     if isinstance(data, bytes):
         try:
@@ -573,6 +577,8 @@ def load_model(data: bytes | str) -> Model:
             isinstance(values, list) and all(type(v) is int for v in values),
             f"{key} must be an array of integers",
         )
+    # with G >= 1 the byte-length check bounds d before any reshape
+    _require(labels, f"points must be a nonempty (G, d) matrix, not shape (0, {d})")
     points = _f8_matrix(doc, "points", len(labels), d)
     names = doc.get("label_names")
     _require(names is None or isinstance(names, list), "label_names must be an array")

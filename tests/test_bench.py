@@ -282,6 +282,21 @@ class TestEmitReport:
         cells = [re.split(r"(?<!\\)\|", line) for line in (header, separator)]
         assert len(cells[0]) == len(cells[1]) == 4
 
+    @pytest.mark.parametrize("name, shown", [("a\nb", r"a\nb"), ("a\rb", r"a\rb")],
+                             ids=["newline", "carriage-return"])
+    def test_markdown_escapes_line_breaks(self, tmp_path, name, shown):
+        report = run_benchmark([name], ["knn"], quick_config(data_dir=str(tmp_path)))
+        text = emit_report(report, format="markdown")
+        assert "\r" not in text
+        for table in text.split("## ")[1:]:
+            _, header, separator, *rows = [l for l in table.splitlines() if l]
+            assert header == f"| algorithm | {shown} |"
+            assert rows == ["| knn | error |"]
+            assert all(line.startswith("|") and line.endswith("|")
+                       for line in [header, separator, *rows])
+            count = len(separator.split("|"))
+            assert all(len(line.split("|")) == count for line in [header, *rows])
+
     def test_csv_error_and_name_read_back_unaltered(self, tmp_path):
         # every error holds '"' and ','; the names hold them, '\r' and '\n'
         names = ["it's", 'a,"b', "it's\rb", "it's\nb"]

@@ -881,6 +881,19 @@ class TestErrorContract:
                      "(letter, knn)"):
             assert f"cell {cell} failed: " in line
 
+    @pytest.mark.parametrize("d", [2**62, 10**30], ids=["2^62", "10^30"])
+    def test_huge_d_without_generators_is_malformed(self, paths, capsys, tmp_path, d):
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps({"version": 2, "d": d, "n_classes": 1, "k": 1, "labels": [],
+                                     "source_classes": [], "points": ""}))
+        for argv in (["predict", "--model", str(model), "--data", f"{paths['d']}/train.csv"],
+                     ["grid", "--model", str(model)]):
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: malformed model document: points must be a nonempty (G, d) matrix, "
+                f"not shape (0, {d})\n"
+            )
+
     def test_exponent_negative_parses_in_the_equals_form(self, paths, capsys):
         too_wide = "error: the grid's width and height must be finite\n"
         argv = self.argv("grid --model {model} --x-min=-1e308 --x-max=1e308", paths)

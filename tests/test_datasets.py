@@ -74,6 +74,17 @@ class TestDatasetType:
         with pytest.raises(ValueError, match="^labels must be integer class ids$"):
             Dataset(X=np.zeros((2, 1)), y=y, n_classes=2)
 
+    @pytest.mark.parametrize(
+        "n_classes", [2.5, 2.0, True, 0], ids=["fraction", "float", "bool", "zero"]
+    )
+    def test_n_classes_must_be_an_integer(self, n_classes):
+        with pytest.raises(ValueError, match="^n_classes must be a positive integer$"):
+            Dataset(X=np.zeros((2, 1)), y=[0, 1], n_classes=n_classes)
+
+    def test_numpy_integer_n_classes_stored_as_int(self):
+        ds = Dataset(X=np.zeros((2, 1)), y=[0, 1], n_classes=np.int64(2))
+        assert ds.n_classes == 2 and type(ds.n_classes) is int
+
     def test_integral_float_labels_accepted(self):
         ds = Dataset(X=np.zeros((3, 1)), y=[1.0, 0.0, -0.0], n_classes=2)
         assert ds.y.dtype == np.int64 and ds.y.tolist() == [1, 0, 0]
@@ -262,7 +273,7 @@ class TestLoadCsv:
     def test_label_map_applied(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("1,2,B\n3,4,B\n")
-        ds = load_csv(p, label_column=2, label_map={"A": 0, "B": 1})
+        ds = load_csv(p, label_column=2, label_names=("A", "B"))
         np.testing.assert_array_equal(ds.y, [1, 1])
         assert ds.label_names == ("A", "B")
         assert ds.n_classes == 2
@@ -271,13 +282,13 @@ class TestLoadCsv:
         p = tmp_path / "data.csv"
         p.write_text("1,2,C\n")
         with pytest.raises(ValueError, match="unknown label 'C'"):
-            load_csv(p, label_column=2, label_map={"A": 0, "B": 1})
+            load_csv(p, label_column=2, label_names=("A", "B"))
 
-    def test_label_map_must_be_contiguous(self, tmp_path):
+    def test_repeated_label_name_refused(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("1,2,A\n")
-        with pytest.raises(ValueError, match="contiguous"):
-            load_csv(p, label_column=2, label_map={"A": 0, "B": 2})
+        with pytest.raises(ValueError, match="^label_names must not repeat a token$"):
+            load_csv(p, label_column=2, label_names=("A", "B", "A"))
 
     @pytest.mark.parametrize(
         "text,label_column",
@@ -549,8 +560,7 @@ class TestBenchmarkLoader:
         train, test = load_benchmark_dataset("letter", tmp_path)
         assert train.label_names == ("A", "B", "C")
         np.testing.assert_array_equal(test.y, [2])
-        assert test.n_classes == 3
-        assert train.name == "letter/train" and test.name == "letter/test"
+        assert test.n_classes == 3 and test.label_names == ("A", "B", "C")
 
     def test_svmlight_files_share_the_label_map(self, tmp_path):
         base = tmp_path / "usps"
@@ -562,6 +572,5 @@ class TestBenchmarkLoader:
         assert train.label_names == test.label_names == ("1", "2", "3")
         np.testing.assert_array_equal(train.y, [2, 0, 1])
         np.testing.assert_array_equal(test.y, [2])
-        assert train.name == "usps/train" and test.name == "usps/test"
         assert train.X[1, 255] == -0.25 and test.X[0, 255] == 0.75
         assert test.X[0, 1] == 1.0 and np.count_nonzero(test.X) == 2

@@ -79,6 +79,7 @@ class TestAssemble:
         assert model.source_classes.tolist() == [0, 1]
         np.testing.assert_array_equal(model.points, [[0.0, 0.0], [1.0, 1.0]])
         assert model.correction_iterations == 0
+        assert model.label_names == ("0", "1")
 
     def test_concatenation_order_and_k_default(self):
         rng = np.random.default_rng(0)
@@ -711,7 +712,7 @@ class TestFit:
         unnamed = fit(train, config)
         train.label_names = ("upper", "lower")
         named = fit(train, config)
-        assert named.label_names == ("upper", "lower") and unnamed.label_names is None
+        assert named.label_names == ("upper", "lower") and unnamed.label_names == ("0", "1")
         assert named == replace(unnamed, label_names=("upper", "lower"))
 
 
@@ -738,11 +739,6 @@ class TestEvaluate:
                              np.zeros(10)])
         y = np.array([0, 0, 0, 0, 1, 1, 1, 1, 0, 0])
         assert evaluate(model, Dataset(X=X, y=y, n_classes=2)) == 0.7
-
-    def test_accepts_bank(self):
-        model = two_sided_model()
-        ds = Dataset(X=np.array([[-3.0, 0.0]]), y=np.array([0]), n_classes=2)
-        assert evaluate(to_discriminants(model), ds) == 1.0
 
     def test_empty_test_set(self):
         empty = SimpleNamespace(X=np.empty((0, 2)), y=np.empty(0, dtype=np.int64))
@@ -810,7 +806,7 @@ class TestSerialization:
         assert model.labels.tolist() == [1] and model.source_classes.tolist() == [0]
         np.testing.assert_array_equal(model.points, [[1.0, 2.0]])
         assert model.correction_iterations == 0
-        assert model.label_names is None and model.scaler is None
+        assert model.label_names == ("0", "1") and model.scaler is None
 
     @pytest.mark.parametrize(
         "text,error",
@@ -854,6 +850,9 @@ class TestSerialization:
             ({"labels": [1]}, MalformedModelError),
             ({"labels": [-1]}, MalformedModelError),
             ({"labels": []}, MalformedModelError),
+            # no generators: refused before a (0, d) points matrix is shaped
+            ({"d": 2**62, "labels": [], "source_classes": [], "points": ""}, MalformedModelError),
+            ({"d": 10**30, "labels": [], "source_classes": [], "points": ""}, MalformedModelError),
             ({"source_classes": [2]}, MalformedModelError),
             ({"labels": [0, 0], "points": "AAAAAAAAAAAAAAAAAAAAAA=="}, MalformedModelError),
             (
@@ -885,6 +884,7 @@ class TestSerialization:
         ids=[
             "non-base64", "non-ascii", "truncated", "points-array", "points-missing",
             "label-true", "label-float", "label-range", "label-negative", "no-labels",
+            "no-labels-d-2^62", "no-labels-d-10^30",
             "source-range", "lengths-differ", "over-budget", "names-string", "names-count",
             "names-repeated", "names-number", "scaler-array", "scaler-non-base64",
             "scaler-length", "scaler-non-finite", "scaler-zero-scale", "scaler-negative-scale",
@@ -945,9 +945,12 @@ class TestSerialization:
         assert save_model(replace(loaded, scaler=None)) == save_model(model)
 
     def test_id_names_stored_as_none(self):
+        # the ids are the default names, which the document leaves out
         model = self.fitted_model()
         named = replace(model, label_names=("0", "1"))
-        assert named.label_names is None and named == model
+        assert named.label_names == ("0", "1") and named == model
+        assert named == replace(model, label_names=None)
+        assert "label_names" not in json.loads(save_model(named))
         assert save_model(named) == save_model(model)
 
     def test_version_error(self):
