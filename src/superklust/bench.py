@@ -14,9 +14,10 @@ import numpy as np
 
 from ._nearest import k_nearest_sets
 from .clustering import KMeansConfig
-from .cli import _ONE_LINE, _csv_cell, _within_fit_budget
+from .cli import _ONE_LINE, _within_fit_budget
 from .datasets import (
     Dataset,
+    _csv_row,
     load_benchmark_dataset,
     make_circles,
     make_gaussian_blobs,
@@ -309,7 +310,7 @@ def _csv(report: BenchReport) -> str:
                     repr(cell.infer.mean_ms), repr(cell.infer.std_ms),
                     str(cell.train.repetitions), "",
                 ])
-    return "".join(",".join(map(_csv_cell, row)) + "\n" for row in rows)
+    return "".join(map(_csv_row, rows))
 
 
 def emit_report(report: BenchReport, format: str = "markdown") -> str:

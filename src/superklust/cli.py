@@ -8,8 +8,9 @@ MAX_VALUES float64 values, and handlers raise ValueError, OSError,
 RuntimeError or MemoryError for any other failure (exit 1); main alone
 prints the one stderr line `error: ...`, line breaks escaped, which for
 bench and fetch --verify lists every failure, and returns the exit code
-(only --help exits). The benchmark harness and the fetcher are imported
-inside their handlers, so fit, predict, grid and synth never load them.
+(only --help exits). Handlers print nothing but fetch's progress: main
+prints the summary one returns, on stdout, or on stderr when --out is
+`-`. The benchmark harness and the fetcher load only in their handlers.
 """
 
 from __future__ import annotations
@@ -81,14 +82,6 @@ def _data_dir(args) -> str:
     return os.environ.get("DATA_DIR", "data")
 
 
-def _write_out(path: str, text: str) -> None:
-    """Write text to path, or to stdout for '-'."""
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, newline="")
-
-
 def _parse_label_col(value: str):
     try:
         return int(value)
@@ -114,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=2, help="feature count (blobs)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--header", action="store_true", help="write a header row")
-    p.add_argument("--out", required=True, help="output CSV path")
+    p.add_argument("--out", required=True, help="output CSV path ('-' = stdout)")
     p.set_defaults(handler=cmd_synth)
 
     p = sub.add_parser("fit", help="fit a model and save it as JSON", formatter_class=fmt)
@@ -132,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--standardize", action="store_true", help="train-fit standardization, kept in the model"
     )
-    p.add_argument("--out", required=True, help="model JSON path")
+    p.add_argument("--out", required=True, help="model JSON path ('-' = stdout)")
     p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("predict", help="classify rows of a CSV", formatter_class=fmt)
@@ -185,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_synth(args) -> None:
+def cmd_synth(args) -> str:
     _at_least(args, 0, "--seed")
     if args.kind in ("moons", "circles"):
         _require(args.n >= 2 and args.n % 2 == 0, "--n must be an even integer >= 2")
@@ -211,10 +204,10 @@ def cmd_synth(args) -> None:
         centers = np.random.default_rng(args.seed).uniform(-10.0, 10.0, (args.classes, args.dim))
         ds = datasets.make_gaussian_blobs(args.n // args.classes, centers, args.sigma, args.seed + 1)
     datasets.write_dataset_csv(args.out, ds, header=args.header)
-    print(f"wrote {ds.n} rows x {ds.d + 1} columns to {args.out}")
+    return f"wrote {ds.n} rows x {ds.d + 1} columns to {args.out}"
 
 
-def cmd_fit(args) -> None:
+def cmd_fit(args) -> str:
     _at_least(args, 1, "--k", "--restarts", "--max-iter")
     _at_least(args, 0, "--seed")
     ds = datasets.load_csv(
@@ -227,20 +220,13 @@ def cmd_fit(args) -> None:
         k=args.k, max_iter=args.max_iter, n_restarts=args.restarts, seed=args.seed
     )
     model = replace(tessellation.fit(train, config), scaler=scaler)
-    Path(args.out).write_bytes(tessellation.save_model(model))
+    with datasets._text_out(args.out) as fh:
+        fh.write(tessellation.save_model(model).decode("ascii"))
     accuracy = tessellation.evaluate(model, ds)  # the model scales the raw rows itself
-    print(f"generators: {len(model.labels)}")
-    print(f"training accuracy: {accuracy:.4f}")
+    return f"generators: {len(model.labels)}\ntraining accuracy: {accuracy:.4f}"
 
 
-def _csv_cell(token: str) -> str:
-    """token as one CSV cell, quoted when it holds a delimiter, a quote or a line break."""
-    if any(c in token for c in ',"\r\n'):
-        return '"' + token.replace('"', '""') + '"'
-    return token
-
-
-def cmd_predict(args) -> None:
+def cmd_predict(args) -> str | None:
     model = tessellation.load_model(Path(args.model).read_bytes())
     truth = None
     if args.label_col is not None:
@@ -255,11 +241,11 @@ def cmd_predict(args) -> None:
         X = datasets.load_csv_features(args.data, has_header=args.has_header)
     bank = tessellation.to_discriminants(model)
     labels = tessellation.predict(bank, X)
-    # a lone empty cell is written "" so that the row is not blank
-    cells = [(_csv_cell(name) or '""') + "\n" for name in model.label_names]
-    _write_out(args.out, "label\n" + "".join(cells[lab] for lab in labels.tolist()))
+    rows = [datasets._csv_row([name]) for name in model.label_names]
+    with datasets._text_out(args.out) as fh:
+        fh.write("label\n" + "".join(rows[lab] for lab in labels.tolist()))
     if truth is not None:
-        print(f"accuracy: {float((labels == truth).mean()):.4f}")
+        return f"accuracy: {float((labels == truth).mean()):.4f}"
 
 
 def cmd_grid(args) -> None:
@@ -273,10 +259,7 @@ def cmd_grid(args) -> None:
     xy, labels = datasets.decision_grid(
         bank, (args.x_min, args.x_max), (args.y_min, args.y_max), args.resolution
     )
-    cells = [_csv_cell(name) for name in model.label_names]
-    datasets.write_grid_csv(
-        sys.stdout if args.out == "-" else args.out, xy, [cells[lab] for lab in labels.tolist()]
-    )
+    datasets.write_grid_csv(args.out, xy, [model.label_names[lab] for lab in labels.tolist()])
 
 
 def cmd_bench(args) -> None:
@@ -299,13 +282,14 @@ def cmd_bench(args) -> None:
         data_dir=_data_dir(args),
     )
     report = run_benchmark(names, algos, config)
-    _write_out(args.out, emit_report(report, format=args.format))
+    with datasets._text_out(args.out) as fh:
+        fh.write(emit_report(report, format=args.format))
     failed = [f"cell ({n}, {a}) failed: {c.error}" for (n, a), c in report.cells.items() if c.error]
     if failed:
         raise RuntimeError("; ".join(failed))
 
 
-def cmd_fetch(args) -> None:
+def cmd_fetch(args) -> str:
     from . import fetch
 
     data_dir = _data_dir(args)
@@ -313,20 +297,20 @@ def cmd_fetch(args) -> None:
         bad = fetch.verify_checksums(data_dir)
         if bad:
             raise fetch.ChecksumMismatch(f"checksum mismatch: {', '.join(bad)}")
-        print("all checksums match")
-        return
+        return "all checksums match"
     _require(not (args.names and args.all), "give dataset names or --all, not both")
     names = list(fetch.ALL_DATASETS) if args.all else (args.names or list(fetch.DEFAULT_DATASETS))
     unknown = sorted(set(names) - set(fetch.ALL_DATASETS))
     _require(not unknown, f"unknown dataset(s): {', '.join(unknown)}")
     fetched = fetch.fetch_datasets(names, data_dir, force=args.force, progress=print)
-    print(f"fetched: {', '.join(fetched) if fetched else 'nothing (all present)'}")
+    return f"fetched: {', '.join(fetched) if fetched else 'nothing (all present)'}"
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        args.handler(args)
+        if (summary := args.handler(args)) is not None:  # on stderr when the data is on stdout
+            print(summary, file=sys.stderr if getattr(args, "out", None) == "-" else sys.stdout)
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {(str(exc) or type(exc).__name__).translate(_ONE_LINE)}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

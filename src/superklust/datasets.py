@@ -6,14 +6,15 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import sys
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 
 import numpy as np
 
-from .tessellation import DiscriminantBank, ScalerParams, _count, predict
+from .tessellation import DiscriminantBank, ScalerParams, _count, _names, predict
 
 __all__ = [
     "Dataset",
@@ -40,8 +41,8 @@ class Dataset:
     n_classes is an integer >= 1 (numpy integers are stored as int,
     bools refused).
 
-    label_names, when present, maps each class id back to the original
-    label token of the source file (position = id).
+    label_names maps each class id back to the original label token of
+    the source file (position = id), n_classes distinct strings; None stores the ids.
     """
 
     X: np.ndarray
@@ -65,6 +66,7 @@ class Dataset:
         self.n_classes = _count("n_classes", self.n_classes, 1)
         if self.y.min() < 0 or self.y.max() >= self.n_classes:
             raise ValueError(f"labels must lie in [0, {self.n_classes})")
+        self.label_names = _names(self.label_names, self.n_classes)
 
     @property
     def n(self) -> int:
@@ -337,18 +339,32 @@ def decision_grid(bank: DiscriminantBank, x_range, y_range, resolution: int):
 
 
 def _text_out(out):
-    """A context holding out: a new file for a path, else the stream itself."""
+    """A context holding out: stdout for "-", a new file for any other path, a stream as it is."""
+    if out == "-":
+        return nullcontext(sys.stdout)
     return open(out, "w", newline="") if isinstance(out, (str, Path)) else nullcontext(out)
 
 
+def _csv_cell(token: str) -> str:
+    """token as one CSV cell, quoted when it holds a delimiter, a quote or a line break."""
+    if any(c in token for c in ',"\r\n'):
+        return '"' + token.replace('"', '""') + '"'
+    return token
+
+
+def _csv_row(cells) -> str:
+    """cells as one CSV line; a row that would be blank is written "" instead."""
+    return (",".join(map(_csv_cell, cells)) or '""') + "\n"
+
+
 def write_grid_csv(out, xy: np.ndarray, labels) -> None:
-    """Write grid rows as CSV with header "x,y,label". Each label is
-    written as given: a class id, or a label token already formatted as
-    a CSV cell."""
+    """Write grid rows as CSV with header "x,y,label". Each label, a
+    class id or a label token, is written as one CSV cell."""
+    cell = cache(lambda lab: _csv_cell(str(lab)))  # quotes each distinct label once
     with _text_out(out) as fh:
         fh.write("x,y,label\n")
         for (x, y), lab in zip(xy, labels):
-            fh.write(f"{float(x)!r},{float(y)!r},{lab}\n")
+            fh.write(f"{float(x)!r},{float(y)!r},{cell(lab)}\n")
 
 
 def write_dataset_csv(out, ds: Dataset, header: bool = True) -> None:

@@ -89,6 +89,14 @@ def _id_names(n_classes: int) -> tuple[str, ...]:
     return tuple(map(str, range(n_classes)))
 
 
+def _names(label_names, n_classes: int) -> tuple[str, ...]:
+    """label_names as a tuple of n_classes distinct strings; None gives the ids."""
+    names = _id_names(n_classes) if label_names is None else tuple(label_names)
+    if not (all(isinstance(t, str) for t in names) and len(set(names)) == len(names) == n_classes):
+        raise ValueError(f"label_names must be {n_classes} distinct strings")
+    return names
+
+
 class _ArrayEq:
     """Dataclass equality that compares array fields with np.array_equal."""
 
@@ -194,14 +202,7 @@ class Model(_ArrayEq):
                 f"dimension mismatch: scaler has {self.scaler.mean.size} features, "
                 f"model has {self.d}"
             )
-        names = _id_names(self.n_classes) if self.label_names is None else tuple(self.label_names)
-        if (
-            len(names) != self.n_classes
-            or not all(isinstance(t, str) for t in names)
-            or len(set(names)) != len(names)
-        ):
-            raise ValueError(f"label_names must be {self.n_classes} distinct strings")
-        self.label_names = names
+        self.label_names = _names(self.label_names, self.n_classes)
 
     @property
     def d(self) -> int:
@@ -455,8 +456,7 @@ def fit(train: "Dataset", config: KMeansConfig) -> Model:
     clusters with config's fields and seed config.seed + c *
     config.n_restarts, so that no two (class, restart) pairs share a
     seed; the whole fit is deterministic given (train, config). The
-    model keeps train.label_names (the ids when it has none) and has no
-    scaler.
+    model keeps train.label_names and has no scaler.
     """
     if train.X.shape[0] == 0:
         raise ValueError("training set must not be empty")

@@ -306,8 +306,9 @@ class TestPredict:
                        "--label-col", "-1")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines() == [
-            "label", '"x,y"', '"x,y"', '"say ""hi"""', '"say ""hi"""', "accuracy: 1.0000"
+            "label", '"x,y"', '"x,y"', '"say ""hi"""', '"say ""hi"""'
         ]
+        assert proc.stderr.splitlines() == ["accuracy: 1.0000"]
 
     def test_empty_token_keeps_its_row(self, tmp_path):
         # an empty label token is written "", not as a blank line
@@ -818,6 +819,60 @@ OVERSIZED_CASES = [
     ("fit-k", "fit --data {d}/tall.csv --k 9000 --restarts 1 --out {d}/m.json"),
 ]
 
+OUTPUT_COMMANDS = {
+    "synth": ["synth", "moons", "--n", "20"],
+    "fit": ["fit", "--data", "train.csv", "--k", "2"],
+    "predict": ["predict", "--model", "model.json", "--data", "train.csv", "--label-col", "-1"],
+    "grid": ["grid", "--model", "model.json", "--resolution", "3"],
+    "bench": [
+        "bench", "--datasets", "blobs", "--algos", "knn", "--repetitions", "1", "--warmup", "0",
+        "--format", "csv",
+    ],
+}
+
+
+class TestOneWayOut:
+    """Every --out takes `-` for stdout; the summary lines then go to
+    stderr, and stdout holds the data alone."""
+
+    @pytest.mark.parametrize("command", list(OUTPUT_COMMANDS))
+    def test_data_and_summary_streams(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        train = make_gaussian_blobs(20, [[0.0, 0.0], [3.0, 3.0]], 1.0, seed=5)
+        write_dataset_csv("train.csv", train, header=False)
+        model = fit(train, KMeansConfig(k=2))
+        Path("model.json").write_bytes(save_model(model))
+        summary = {
+            "synth": "wrote 20 rows x 3 columns to {out}\n",
+            "fit": f"generators: {len(model.labels)}\n"
+            f"training accuracy: {evaluate(model, train):.4f}\n",
+            "predict": f"accuracy: {evaluate(model, train):.4f}\n",
+        }.get(command, "")
+        argv = OUTPUT_COMMANDS[command]
+
+        assert cli.main([*argv, "--out", "-"]) == 0
+        piped = capsys.readouterr()
+        assert piped.err == summary.format(out="-")
+        assert cli.main([*argv, "--out", "data.out"]) == 0
+        filed = capsys.readouterr()
+        assert filed.out == summary.format(out="data.out") and filed.err == ""
+        assert not Path("-").exists()
+
+        written = Path("data.out").read_bytes()
+        if command == "fit":
+            assert load_model(piped.out) == load_model(written) == model
+            assert piped.out.encode() == written
+            return
+        rows = list(csv.reader(io.StringIO(piped.out, newline="")))
+        assert rows and len({len(row) for row in rows}) == 1
+        if command == "bench":  # timings differ between the two runs
+            assert rows[0][0] == "dataset" and [r[:3] for r in rows] == [
+                r[:3] for r in csv.reader(io.StringIO(written.decode(), newline=""))
+            ]
+        else:
+            assert piped.out.encode() == written
+
+
 # Runs cli.main with the address space capped at 1 GiB, so that a
 # request the budget misses fails at once instead of allocating.
 LIMITED_MAIN = (
@@ -1016,8 +1071,11 @@ class TestErrorContract:
         # valid inputs, if degenerate: fit and predict succeed, with nothing on stderr
         data, model = str(tmp_path / "t.csv"), str(tmp_path / "m.json")
         (tmp_path / "t.csv").write_text(rows)
+        pred = str(tmp_path / "p.csv")
         assert cli.main(["fit", "--data", data, "--k", "2", "--out", model]) == 0
-        assert cli.main(["predict", "--model", model, "--data", data, "--label-col", "-1"]) == 0
+        assert cli.main(
+            ["predict", "--model", model, "--data", data, "--label-col", "-1", "--out", pred]
+        ) == 0
         out = capsys.readouterr()
         assert out.err == ""
         assert out.out.splitlines()[-1] == f"accuracy: {accuracy}"

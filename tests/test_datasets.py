@@ -89,6 +89,18 @@ class TestDatasetType:
         ds = Dataset(X=np.zeros((3, 1)), y=[1.0, 0.0, -0.0], n_classes=2)
         assert ds.y.dtype == np.int64 and ds.y.tolist() == [1, 0, 0]
 
+    @pytest.mark.parametrize(
+        "names", [("a",), ("a", "a"), ["a", 1]], ids=["too-few", "repeated", "not-a-string"]
+    )
+    def test_label_names_checked_at_construction(self, names):
+        with pytest.raises(ValueError, match="^label_names must be 2 distinct strings$"):
+            Dataset(X=np.zeros((2, 1)), y=[0, 1], n_classes=2, label_names=names)
+
+    def test_label_names_stored_as_a_tuple(self):
+        ds = Dataset(X=np.zeros((2, 1)), y=[0, 1], n_classes=2, label_names=["b", "a"])
+        assert ds.label_names == ("b", "a")
+        assert Dataset(X=np.zeros((2, 1)), y=[0, 1], n_classes=2).label_names == ("0", "1")
+
 
 class TestMoons:
     def test_noise_free_parametrization(self):
@@ -524,6 +536,16 @@ class TestCsvWriters:
         assert lines[0] == "x,y,label"
         assert lines[1] == "0.0,0.5,0"
         assert lines[2] == "1.25,-2.0,1"
+
+    def test_grid_csv_quotes_label_tokens(self):
+        out = io.StringIO()
+        xy = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        write_grid_csv(out, xy, ["a,b", 'say "hi"', "", "a,b"])
+        assert out.getvalue() == (
+            'x,y,label\n0.0,0.0,"a,b"\n1.0,0.0,"say ""hi"""\n2.0,0.0,\n3.0,0.0,"a,b"\n'
+        )
+        rows = list(csv.reader(io.StringIO(out.getvalue(), newline="")))
+        assert [row[2] for row in rows[1:]] == ["a,b", 'say "hi"', "", "a,b"]
 
     def test_dataset_csv_round_trip(self, tmp_path):
         ds = make_moons(40, noise=0.3, seed=30)
