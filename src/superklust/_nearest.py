@@ -12,8 +12,8 @@ those of the explicit-difference computation, ties going to the lowest
 site index. Negating a score and doubling p are exact, so the bound
 below holds for the discriminants as for ||p||^2 - 2 p . x.
 
-Lloyd's assignment and k_nearest_sets screen in float64; predict and
-correct share one float32 screen, tessellation._nearest_rows.
+Lloyd's assignment and the k-means++ weights screen in float64. predict,
+correct and the KNN baseline (k_nearest_sets) share one float32 scan.
 
 Why the bound holds. Write u for the unit roundoff of a format (2^-53
 in float64, 2^-24 in float32), gamma_n = n u / (1 - n u), r = ||x|| +
@@ -24,11 +24,11 @@ in float64, 2^-24 in float32), gamma_n = n u / (1 - n u), r = ||x|| +
   of summation the BLAS takes: each of the at most 4d - 1 products and
   sums of 2 p . x, of ||p||^2 and of their difference that underflows
   adds at most tau.
-- A float32 screen (tessellation._nearest_rows) first casts x, 2 p and
-  -||p||^2 to float32; the last is computed in float64, with relative
-  error gamma_d below the float32 u for d < 2^29. A cast errs by at most
-  u |v| + tau; tau covers gradual underflow, and also a BLAS that
-  flushes subnormal numbers to zero. Each of the d + 1 terms of the
+- A float32 screen (scan) first casts x, 2 p and -||p||^2 to float32;
+  the last is computed in float64, with relative error gamma_d below
+  the float32 u for d < 2^29. A cast errs by at most u |v| + tau; tau
+  covers gradual underflow, and also a BLAS that flushes subnormal
+  numbers to zero. Each of the d + 1 terms of the
   inner product so carries two more roundings, gamma_{d+3} in all, and
   the bias one more u. The tau parts of the casts enter multiplied by
   the other factor, 2 tau sqrt(d) r at most, and by AM-GM
@@ -153,32 +153,85 @@ def nearest_among(X: np.ndarray, P: np.ndarray, cand: np.ndarray, k: int = 1) ->
     return sites[np.lexsort((d2, rows))[first[:, None] + np.arange(k)]]
 
 
+def linear_forms(points: np.ndarray) -> np.ndarray:
+    """The (d+1, G) float32 matrix whose column j is the linear form
+    [2 p_j; -||p_j||^2] of row j of points, rounded from float64; a form
+    beyond the float32 range saturates at its largest finite value."""
+    forms = np.empty((points.shape[1] + 1, points.shape[0]), dtype=np.float32)
+    with np.errstate(over="ignore"):  # saturated below
+        forms[:-1] = (2.0 * points).T
+        forms[-1] = -sq_norms(points)
+    np.nan_to_num(forms, copy=False)
+    return forms
+
+
+def check_finite(x: np.ndarray, raw: np.ndarray, start: int, what: str = "query") -> None:
+    """Raise ValueError naming the first of the float64 rows x (rows
+    start, start + 1, ... of the raw input raw, scaled) that is not
+    finite, if any, as a what row."""
+    finite = np.isfinite(x).all(axis=1)
+    if not finite.all():
+        i = start + int(finite.argmin())
+        if np.isfinite(raw[i]).all():
+            raise ValueError(f"{what} row {i} overflows float64 when scaled")
+        raise ValueError(f"non-finite feature in {what} row {i}")
+
+
+def scan(X, forms: np.ndarray, points: np.ndarray, p_max: float, scaler=None,
+         k: int | None = None, what: str = "query") -> np.ndarray:
+    """Per raw row of the 2-D X, the index of its nearest site, or with
+    k the indices of its k nearest, shape (n, k), in no particular order:
+    sites are the rows of points (forms their linear_forms, p_max their
+    largest norm), ordered by (exact_sq_dists, index). A scaler maps raw
+    rows to the sites' coordinates. A row that is not finite, or a finite
+    one that overflows when scaled, raises ValueError naming a what row.
+
+    Each block of rows, as float64 (scaled into a reused block), is cast
+    to a float32 [x, 1] that one GEMM scores against forms. Without k,
+    select decides the block. With k, sites within the rounding bound of
+    the k-th largest score are the candidates: the answer when there are
+    exactly k, else ordered by nearest_among. A call holds one block of
+    scores and its query blocks, each of at most BLOCK_ENTRIES entries.
+    """
+    d1, G = forms.shape
+    n = X.shape[0]
+    step = max(1, min(n, block_rows(max(G, d1))))
+    rows = None if scaler is None else np.empty((step, d1 - 1))
+    queries = np.empty((step, d1), dtype=np.float32)
+    queries[:, -1] = 1.0
+    scores = np.empty((step, G), dtype=np.float32)
+    best = np.empty(n if k is None else (n, k), dtype=np.intp)
+    # Rows beyond this norm could overflow the float32 screen or the
+    # cast into it; they are screened as zeros, and never certified.
+    x_reach = SAFE_REACH_32 - p_max
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        m = stop - start
+        q, s, raw = queries[:m], scores[:m], X[start:stop]
+        x = raw.astype(np.float64, copy=False) if scaler is None else scaler.apply(raw, rows[:m])
+        x_norms = np.sqrt(sq_norms(x))
+        if x_norms.max() <= x_reach:
+            q[:, :-1] = x
+        else:  # a norm beyond reach, or not finite
+            check_finite(x, X, start, what)
+            q[:, :-1] = np.where((x_norms <= x_reach)[:, None], x, 0.0)
+        np.matmul(q, forms, out=s)
+        bound = rounding_bound(x_norms, p_max, d1 - 1, np.float32)
+        if k is None:
+            best[start:stop] = select(s, bound, x, points)
+            continue
+        kth = np.partition(s, G - k, axis=1)[:, G - k]
+        cand = ~(s < (kth - bound)[:, None])  # all, where bound is inf
+        counts = cand.sum(axis=1)
+        sure = np.flatnonzero(counts == k)
+        best[start + sure] = np.nonzero(cand[sure])[1].reshape(-1, k)
+        rest = np.flatnonzero(counts != k)
+        best[start + rest] = nearest_among(x[rest], points, cand[rest], k)
+    return best
+
+
 def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int) -> np.ndarray:
     """For each row of X, the indices of its k nearest rows of P, where
     rows are ordered by (exact_sq_dists, index); shape (n, k), each row
-    in no particular order.
-
-    The k-th largest discriminant is found by partition. Sites within
-    the rounding bound of it are the candidates; when there are exactly
-    k they are the answer, otherwise they are ordered explicitly.
-    """
-    # a row whose screen may overflow has an inf bound: the exact path
-    with np.errstate(over="ignore", invalid="ignore"):
-        n, G = X.shape[0], P.shape[0]
-        out = np.empty((n, k), dtype=np.intp)
-        p_sq = sq_norms(P)
-        bound = rounding_bound(np.sqrt(sq_norms(X)), float(np.sqrt(p_sq.max())), P.shape[1])
-        P2 = 2.0 * P
-        step = block_rows(G)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            scores = X[start:stop] @ P2.T  # 2 p . x - ||p||^2, by one GEMM
-            scores -= p_sq
-            kth = np.partition(scores, G - k, axis=1)[:, G - k]
-            cand = ~(scores < (kth - bound[start:stop])[:, None])  # all, where bound is inf
-            counts = cand.sum(axis=1)
-            sure = np.flatnonzero(counts == k)
-            out[start + sure] = np.nonzero(cand[sure])[1].reshape(-1, k)
-            rest = start + np.flatnonzero(counts != k)
-            out[rest] = nearest_among(X[rest], P, cand[rest - start], k)
-        return out
+    in no particular order: scan of X against the sites P, in one call."""
+    return scan(X, linear_forms(P), P, float(np.sqrt(sq_norms(P).max())), k=k)

@@ -12,9 +12,9 @@ from functools import partial
 
 import numpy as np
 
-from ._nearest import k_nearest_sets
+from . import _nearest
 from .clustering import KMeansConfig
-from .cli import _ONE_LINE, _within_fit_budget
+from .cli import _ONE_LINE, UsageError, _within_fit_budget
 from .datasets import (
     Dataset,
     _csv_row,
@@ -25,7 +25,7 @@ from .datasets import (
     standardize_apply,
     standardize_fit,
 )
-from .tessellation import _check_finite, fit, predict, to_discriminants
+from .tessellation import DiscriminantBank, fit, predict, to_discriminants
 
 __all__ = [
     "TimingStat",
@@ -75,19 +75,22 @@ def time_op(thunk, repetitions: int, warmup: int = 0) -> TimingStat:
 
 @dataclass
 class KnnModel:
-    """Stored training set for exact brute-force k-nearest-neighbors."""
+    """Stored training set for exact brute-force k-nearest-neighbors; bank
+    holds its rows as generators of their labels, knn_predict's sites."""
 
     X: np.ndarray
     y: np.ndarray
     n_neighbors: int
     n_classes: int
+    bank: DiscriminantBank = field(init=False)
+
+    def __post_init__(self):
+        self.bank = DiscriminantBank(_nearest.linear_forms(self.X), labels=self.y, points=self.X)
 
 
 def knn_fit(train: Dataset, n_neighbors: int) -> KnnModel:
     if not 1 <= n_neighbors <= train.n:
-        raise ValueError(
-            f"n_neighbors must be in [1, {train.n}], got {n_neighbors}"
-        )
+        raise ValueError(f"n_neighbors must be in [1, {train.n}], got {n_neighbors}")
     return KnnModel(
         X=train.X.copy(), y=train.y.copy(), n_neighbors=n_neighbors, n_classes=train.n_classes
     )
@@ -98,17 +101,16 @@ def knn_predict(model: KnnModel, X) -> np.ndarray:
 
     Neighbors are the first n_neighbors training points ordered by
     (exact explicit-difference squared distance, training index); vote
-    ties go to the lowest class id. Distances are screened by one GEMM
-    per block of queries, which bounds the distance-matrix memory. A
-    non-finite query raises predict's ValueError naming its row.
+    ties go to the lowest class id. The neighbors come from predict's
+    certified float32 scan, _nearest.scan, which raises predict's
+    ValueError naming the first non-finite query row.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.X.shape[1]:
         raise ValueError(
             f"dimension mismatch: queries must be 2-D with {model.X.shape[1]} features"
         )
-    _check_finite(X, X, 0)
-    nn = k_nearest_sets(X, model.X, model.n_neighbors)
+    nn = _nearest.scan(X, model.bank.forms, model.X, model.bank.p_max, k=model.n_neighbors)
     offsets = model.y[nn] + np.arange(X.shape[0])[:, None] * model.n_classes
     counts = np.bincount(offsets.ravel(), minlength=X.shape[0] * model.n_classes)
     return counts.reshape(X.shape[0], model.n_classes).argmax(axis=1)
@@ -187,19 +189,21 @@ def run_benchmark(datasets: list, algos: list[str], config: BenchConfig) -> Benc
 
     Dataset entries are names (real datasets read from config.data_dir,
     synthetic ones generated on the fly) or (name, train, test) triples.
-    Per cell: training is timed over the full fit, accuracy computed
-    once, inference timed over the full test set. Loading and
+    A name given twice raises UsageError (a ValueError) before any cell
+    runs. Per cell: training is timed over the full fit, accuracy
+    computed once, inference timed over the full test set. Loading and
     standardization happen before the clock starts; a dataset that fails
     there records the error in each of its cells. A failing cell records
     its error and the rest still run. The report's config holds the
     BenchConfig fields, the names run and, under "env", the environment
     the run was measured in.
     """
-    names = []
+    names = [entry if isinstance(entry, str) else entry[0] for entry in datasets]
+    for kind, values in (("dataset", names), ("algorithm", list(algos))):
+        if repeated := sorted({v for v in values if values.count(v) > 1}):
+            raise UsageError(f"repeated {kind} name(s): {', '.join(repeated)}")
     cells = {}
-    for entry in datasets:
-        name = entry if isinstance(entry, str) else entry[0]
-        names.append(name)
+    for name, entry in zip(names, datasets):
         try:
             train, test = _load(entry, config)
         except Exception as exc:

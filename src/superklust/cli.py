@@ -182,11 +182,11 @@ def cmd_synth(args) -> str:
     _at_least(args, 0, "--seed")
     if args.kind in ("moons", "circles"):
         _require(args.n >= 2 and args.n % 2 == 0, "--n must be an even integer >= 2")
-        _require(not args.noise < 0, "--noise must be nonnegative")
+        _require(0 <= args.noise < np.inf, "--noise must be nonnegative and finite")
         _require(args.kind == "moons" or 0.0 < args.factor < 1.0, "--factor must be in (0, 1)")
         dim = 2
     else:
-        _require(not args.sigma <= 0, "--sigma must be positive")
+        _require(0 < args.sigma < np.inf, "--sigma must be positive and finite")
         _require(args.classes >= 1 and args.dim >= 1, "--classes and --dim must be positive")
         _require(
             args.n >= 1 and args.n % args.classes == 0,

@@ -158,7 +158,7 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
     x_norms = np.sqrt(sq_norms(data))
     prev_assign = np.full(data.shape[0], -1)  # before the first step, no sample has a cluster
     iterations = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _nearest.k_nearest_sets
+    with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows get inf bounds
         p_sq = sq_norms(centers)
         scores = 2.0 * centers @ data.T - p_sq[:, None]
         bound_norm = -np.inf  # the largest center norm the bound was made for

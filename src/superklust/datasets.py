@@ -77,45 +77,43 @@ class Dataset:
         return self.X.shape[1]
 
 
+def _two_curves(n: int, noise: float, seed: int, curve) -> Dataset:
+    """make_moons' or make_circles' rows: curve(n // 2), the points of class
+    0 and of class 1, with isotropic Gaussian noise added per coordinate."""
+    if n < 2 or n % 2 != 0:
+        raise ValueError(f"n must be an even integer >= 2, got {n}")
+    if not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be nonnegative and finite, got {noise}")
+    X = np.concatenate(curve(n // 2))
+    X = X + np.random.default_rng(seed).normal(0.0, noise, X.shape)
+    return Dataset(X=X, y=np.repeat([0, 1], n // 2), n_classes=2)
+
+
 def make_moons(n: int, noise: float, seed: int) -> Dataset:
     """Two interleaving half-circles: class 0 at (cos t, sin t) and
     class 1 at (1 - cos t, 0.5 - sin t), t evenly spaced over [0, pi]
     inclusive, with isotropic Gaussian noise added per coordinate."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be an even integer >= 2, got {n}")
-    if noise < 0:
-        raise ValueError(f"noise must be nonnegative, got {noise}")
-    half = n // 2
-    t = np.linspace(0.0, np.pi, half)
-    X = np.concatenate(
-        [
-            np.column_stack([np.cos(t), np.sin(t)]),
-            np.column_stack([1.0 - np.cos(t), 0.5 - np.sin(t)]),
-        ]
-    )
-    y = np.repeat([0, 1], half)
-    rng = np.random.default_rng(seed)
-    X = X + rng.normal(0.0, noise, X.shape)
-    return Dataset(X=X, y=y, n_classes=2)
+
+    def curve(half):
+        t = np.linspace(0.0, np.pi, half)
+        c, s = np.cos(t), np.sin(t)
+        return np.column_stack([c, s]), np.column_stack([1.0 - c, 0.5 - s])
+
+    return _two_curves(n, noise, seed, curve)
 
 
 def make_circles(n: int, factor: float, noise: float, seed: int) -> Dataset:
     """Concentric circles: class 0 on the unit circle, class 1 on a
     circle of radius factor, angles evenly spaced over [0, 2*pi)."""
-    if n < 2 or n % 2 != 0:
-        raise ValueError(f"n must be an even integer >= 2, got {n}")
     if not 0.0 < factor < 1.0:
         raise ValueError(f"factor must be in (0, 1), got {factor}")
-    if noise < 0:
-        raise ValueError(f"noise must be nonnegative, got {noise}")
-    half = n // 2
-    angles = np.linspace(0.0, 2.0 * np.pi, half, endpoint=False)
-    ring = np.column_stack([np.cos(angles), np.sin(angles)])
-    X = np.concatenate([ring, factor * ring])
-    y = np.repeat([0, 1], half)
-    rng = np.random.default_rng(seed)
-    X = X + rng.normal(0.0, noise, X.shape)
-    return Dataset(X=X, y=y, n_classes=2)
+
+    def curve(half):
+        angles = np.linspace(0.0, 2.0 * np.pi, half, endpoint=False)
+        ring = np.column_stack([np.cos(angles), np.sin(angles)])
+        return ring, factor * ring
+
+    return _two_curves(n, noise, seed, curve)
 
 
 def make_gaussian_blobs(n_per_class: int, centers, sigma: float, seed: int) -> Dataset:
@@ -128,8 +126,8 @@ def make_gaussian_blobs(n_per_class: int, centers, sigma: float, seed: int) -> D
         raise ValueError("non-finite value in centers")
     if n_per_class < 1:
         raise ValueError(f"n_per_class must be >= 1, got {n_per_class}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not 0 < sigma < np.inf:
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     n_classes, d = centers.shape
     rng = np.random.default_rng(seed)
     X = np.concatenate(

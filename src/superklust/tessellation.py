@@ -9,16 +9,12 @@ label of its nearest generator. Because
 and ||x||^2 does not depend on the generator, the nearest-generator rule
 equals an argmax over the linear discriminants w = 2 g, b = -||g||^2.
 That makes the classifier piecewise linear and turns batch inference
-into a single matrix product: the bank stores each form as one column
-[w; b] of a (d+1, G) float32 matrix, so a block of queries with a column
-of ones appended, [x, 1], is scored, biases included, by one float32
-GEMM per block of rows. _nearest.select takes the row-wise argmax and
-certifies the margin of each row's winner over its runner-up against
-a rounding bound (see _nearest); the few rows it cannot certify are
-re-scored exactly, so answers equal the explicit-difference argmin of
-the float64 distances. That block loop, _nearest_rows, is the one
-nearest-generator scan of a model, for predict and correct alike. The
-order of generators is part of the model: ties break to the lowest index.
+into one float32 GEMM per block of rows, [x, 1] against the bank's
+columns [w; b]: _nearest.scan, for predict and correct alike, certifies
+each row's winner against a rounding bound and re-scores the rest
+exactly, so answers equal the explicit-difference argmin of the float64
+distances. The order of generators is part of the model: ties break to
+the lowest index.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _nearest
-from ._nearest import block_rows, sq_norms
+from ._nearest import sq_norms
 from .clustering import KMeansConfig, fit_kmeans
 
 if TYPE_CHECKING:
@@ -220,15 +216,12 @@ class DiscriminantBank:
     """Linear forms realizing the nearest-generator rule; see the module
     docstring for the identity.
 
-    forms is the (d+1, G) float32 matrix whose column j is generator j's
-    form [w_j; b_j], rounded from float64 (a form beyond the float32
-    range saturates at its largest finite value; such a bank certifies
-    no row); weights is a view of it, not a copy. points is
-    the model's read-only float64 generator matrix itself, which the
-    exact re-scoring uses; p_max, the largest generator norm, is derived
-    from it for the certificate. labels holds each generator's class in
-    model order. scaler is the model's (see Model): predict applies it
-    to each query block.
+    forms is the generators' (d+1, G) _nearest.linear_forms; weights is
+    a view of it, not a copy. points is the model's read-only float64
+    generator matrix itself, which the exact re-scoring uses; p_max, the
+    largest generator norm, is derived from it for the certificate.
+    labels holds each generator's class in model order. scaler is the
+    model's (see Model): predict applies it to each query block.
     """
 
     forms: np.ndarray
@@ -284,13 +277,8 @@ def assemble(per_class_centers: list[np.ndarray], k: int | None = None) -> Model
 def to_discriminants(model: Model) -> DiscriminantBank:
     """Precompute the float32 linear forms for a model; the bank keeps
     the model's points, labels and scaler, not copies."""
-    points = model.points
-    forms = np.empty((model.d + 1, points.shape[0]), dtype=np.float32)
-    with np.errstate(over="ignore"):  # saturated below
-        forms[:-1] = (2.0 * points).T
-        forms[-1] = -sq_norms(points)
-    np.nan_to_num(forms, copy=False)
-    return DiscriminantBank(forms=forms, labels=model.labels, points=points, scaler=model.scaler)
+    return DiscriminantBank(forms=_nearest.linear_forms(model.points), labels=model.labels,
+                            points=model.points, scaler=model.scaler)
 
 
 def predict(bank: DiscriminantBank, X) -> np.ndarray:
@@ -298,7 +286,7 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     explicit float64 squared distance, ties to the lowest generator
     index; equal to the argmax discriminant in exact arithmetic.
 
-    One row goes to _predict_row, more to _nearest_rows. A row that is
+    One row goes to _predict_row, more to _nearest.scan. A row that is
     not finite, or a finite row that overflows when scaled, raises
     ValueError naming the first such row.
     """
@@ -311,54 +299,7 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     if X.shape[0] == 1:
         i = _predict_row(bank, X)
         return bank.labels[i : i + 1].copy()
-    return bank.labels[_nearest_rows(bank, X)]
-
-
-def _nearest_rows(bank: DiscriminantBank, X: np.ndarray, what: str = "query") -> np.ndarray:
-    """Index of the nearest generator of each raw row of the 2-D X, as
-    predict defines it, errors included, with "query" in them replaced
-    by what: the one nearest-generator scan of a model.
-
-    Rows are taken in blocks, as float64: float64 rows where they lie,
-    others cast, and a bank with a scaler applies it to each block
-    (ScalerParams.apply into a reused block). Each block is cast into a
-    float32 query matrix [x, 1] that one GEMM per block scores against
-    bank.forms, biases included. _nearest.select decides each block,
-    with the rounding bound of a float32 screen: no rounding of the
-    screen or of the explicit distances can change a certified winner,
-    and each other row is re-scored exactly against only the generators
-    whose score lies within the bound of its top one. A call holds one
-    block of scores and its query blocks, and a block of scaled rows
-    only when the bank scales, reused by every block and each of at
-    most _nearest.BLOCK_ENTRIES entries.
-    """
-    forms, scaler = bank.forms, bank.scaler
-    d1, G = forms.shape
-    n = X.shape[0]
-    step = max(1, min(n, block_rows(max(G, d1))))
-    rows = None if scaler is None else np.empty((step, d1 - 1))
-    queries = np.empty((step, d1), dtype=np.float32)
-    queries[:, -1] = 1.0
-    scores = np.empty((step, G), dtype=np.float32)
-    best = np.empty(n, dtype=np.intp)
-    # Rows beyond this norm could overflow the float32 screen or the
-    # cast into it; they are screened as zeros, and never certified.
-    x_reach = _nearest.SAFE_REACH_32 - bank.p_max
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        m = stop - start
-        q, s, raw = queries[:m], scores[:m], X[start:stop]
-        x = raw.astype(np.float64, copy=False) if scaler is None else scaler.apply(raw, rows[:m])
-        x_norms = np.sqrt(sq_norms(x))
-        if x_norms.max() <= x_reach:
-            q[:, :-1] = x
-        else:  # a norm beyond reach, or not finite
-            _check_finite(x, X, start, what)
-            q[:, :-1] = np.where((x_norms <= x_reach)[:, None], x, 0.0)
-        np.matmul(q, forms, out=s)
-        bound = _nearest.rounding_bound(x_norms, bank.p_max, d1 - 1, np.float32)
-        best[start:stop] = _nearest.select(s, bound, x, bank.points)
-    return best
+    return bank.labels[_nearest.scan(X, bank.forms, bank.points, bank.p_max, bank.scaler)]
 
 
 def _predict_row(bank: DiscriminantBank, raw: np.ndarray) -> int:
@@ -381,26 +322,26 @@ def _predict_row(bank: DiscriminantBank, raw: np.ndarray) -> int:
     if gap > bound:
         return i
     s[i] = top
-    _check_finite(x[None], raw, 0)
+    _nearest.check_finite(x[None], raw, 0)
     return int(_nearest.select(s[None], np.array([bound]), x[None], bank.points)[0])
 
 
-def _check_finite(x: np.ndarray, raw: np.ndarray, start: int, what: str = "query") -> None:
-    """Raise ValueError naming the first of the float64 rows x (rows
-    start, start + 1, ... of the raw input raw, scaled) that is not
-    finite, if any, as a what row."""
-    finite = np.isfinite(x).all(axis=1)
-    if not finite.all():
-        i = start + int(finite.argmin())
-        if np.isfinite(raw[i]).all():
-            raise ValueError(f"{what} row {i} overflows float64 when scaled")
-        raise ValueError(f"non-finite feature in {what} row {i}")
+def _check_labels(model: Model, data: "Dataset", what: str) -> None:
+    """Refuse data with a class id c of data.y past the model's classes,
+    or whose token data.label_names[c] is not model.label_names[c]."""
+    for c in np.flatnonzero(np.bincount(data.y)).tolist():
+        name, n = data.label_names[c], model.n_classes
+        if c >= n:
+            raise ValueError(f"{what} labels must lie in [0, {n}): label {name!r} is class {c}")
+        if name != model.label_names[c]:
+            raise ValueError(f"{what} labels must be the model's: label {name!r} is class {c}, "
+                             f"which the model names {model.label_names[c]!r}")
 
 
 def correct(model: Model, train: "Dataset") -> Model:
     """Relabel and prune generators against the training partition, in
     one pass: (1) assign every training sample to its nearest generator
-    by predict's scan, _nearest_rows (exact, ties to lowest index);
+    by predict's scan, _nearest.scan (exact, ties to lowest index);
     (2) give each generator the majority label of its samples, keeping
     the current label when it ties for the majority and otherwise taking
     the lowest tied class id; (3) drop generators that received no
@@ -415,8 +356,9 @@ def correct(model: Model, train: "Dataset") -> Model:
     keep every majority label and find no empty cell. So
     correction_iterations grows by the passes the rule takes to reach a
     pass that changes nothing: 1 if nothing is relabeled or dropped,
-    else 2. Training rows are raw (see Model.scaler), and one that
-    overflows when scaled raises; label_names and scaler carry over.
+    else 2. Training rows are raw (see Model.scaler); one that overflows
+    when scaled raises, as do labels that are not the model's (see
+    evaluate). label_names and scaler carry over.
     """
     if train.X.shape[0] == 0:
         raise ValueError("training set must not be empty")
@@ -425,13 +367,13 @@ def correct(model: Model, train: "Dataset") -> Model:
             f"dimension mismatch: training data has {train.X.shape[1]} features, "
             f"model has {model.d}"
         )
+    _check_labels(model, train, "training")
     y = np.asarray(train.y)
-    if y.min() < 0 or y.max() >= model.n_classes:
-        raise ValueError(f"training labels must lie in [0, {model.n_classes})")
-
     labels = model.labels
     G, C = labels.shape[0], model.n_classes
-    assign = _nearest_rows(to_discriminants(model), train.X, "training")
+    bank = to_discriminants(model)
+    assign = _nearest.scan(train.X, bank.forms, bank.points, bank.p_max, bank.scaler,
+                           what="training")
     counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
     # An empty cell ties every class at 0 and so keeps its label.
     tied = counts == counts.max(axis=1, keepdims=True)
@@ -473,9 +415,11 @@ def fit(train: "Dataset", config: KMeansConfig) -> Model:
 
 def evaluate(model: Model, test: "Dataset") -> float:
     """Fraction of test rows (raw rows, see Model.scaler) whose predicted
-    label matches the truth."""
+    label matches the truth. Labels that are not the model's raise
+    ValueError: load test files with label_names=model.label_names."""
     if test.X.shape[0] == 0:
         raise ValueError("empty test set")
+    _check_labels(model, test, "test")
     return float((predict(to_discriminants(model), test.X) == np.asarray(test.y)).mean())
 
 

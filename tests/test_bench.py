@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from superklust import Dataset, make_gaussian_blobs, predict, to_discriminants
+from superklust import Dataset, _nearest, make_gaussian_blobs, predict, to_discriminants
 from superklust.bench import (
     BenchConfig,
     emit_report,
@@ -89,6 +89,29 @@ class TestKnn:
             np.testing.assert_array_equal(
                 knn_predict(model, queries), knn_oracle(model, queries)
             )
+
+    def test_training_row_beyond_float32_reach(self, monkeypatch):
+        # a training row past 2^63, the float32 screen's safe reach, sends
+        # every query to the exact path, without a warning
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(30, 3))
+        X[7] = [2.0**64, 0.0, 0.0]
+        train = Dataset(X=X, y=rng.integers(3, size=30), n_classes=3)
+        queries = np.concatenate([rng.normal(size=(20, 3)), [[2.0**64, 1.0, 0.0]]])
+        exact, exact_rows = _nearest.nearest_among, []
+
+        def counting(Q, P, cand, k=1):
+            exact_rows.append(Q.shape[0])
+            return exact(Q, P, cand, k)
+
+        monkeypatch.setattr(_nearest, "nearest_among", counting)
+        for k in (1, 3):
+            model = knn_fit(train, n_neighbors=k)
+            exact_rows.clear()
+            np.testing.assert_array_equal(
+                knn_predict(model, queries), knn_oracle(model, queries)
+            )
+            assert sum(exact_rows) == len(queries)
 
     def test_training_data_is_copied(self):
         train = Dataset(X=np.array([[1.0, 1.0]]), y=np.array([0]), n_classes=1)
@@ -222,6 +245,12 @@ class TestRunBenchmark:
         report = run_benchmark([tiny_entry()], ["nope"], quick_config())
         cell = report.cells[("tiny", "nope")]
         assert cell.error is not None and "unknown algorithm" in cell.error
+
+    def test_repeated_name_raises_before_any_cell(self):
+        with pytest.raises(ValueError, match=r"^repeated dataset name\(s\): tiny$"):
+            run_benchmark([tiny_entry(), tiny_entry(51)], ["knn"], quick_config())
+        with pytest.raises(ValueError, match=r"^repeated algorithm name\(s\): knn$"):
+            run_benchmark(["blobs"], ["knn", "superklust", "knn"], quick_config())
 
     def test_synthetic_by_name(self):
         report = run_benchmark(["blobs"], ["superklust"], quick_config(k=3))

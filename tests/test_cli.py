@@ -100,6 +100,10 @@ class TestSynth:
             (("circles", "--factor", "1.5"), "--factor must be in (0, 1)"),
             (("blobs", "--n", "100", "--classes", "3"), "multiple of --classes"),
             (("blobs", "--sigma", "0"), "--sigma must be positive"),
+            (("moons", "--noise", "nan"), "--noise must be nonnegative and finite"),
+            (("circles", "--noise", "inf"), "--noise must be nonnegative and finite"),
+            (("blobs", "--sigma", "nan"), "--sigma must be positive and finite"),
+            (("blobs", "--sigma", "inf"), "--sigma must be positive and finite"),
         ],
     )
     def test_validation_exits_2(self, tmp_path, argv, fragment):
@@ -775,11 +779,11 @@ CONTRACT_CASES = [
     ("grid-exponent-negative", 2, "grid --model {model} --x-min -1e308 --x-max 1e308"),
     ("grid-scale-overflow", 1, "grid --model {scaled} --x-max 1e300 --resolution 2"),
     ("grid-resolution-1", 2, "grid --model {model} --resolution 1"),
-    ("synth-noise-nan", 1, "synth moons --noise nan --out {d}/s.csv"),
-    ("synth-noise-inf", 1, "synth circles --noise inf --out {d}/s.csv"),
+    ("synth-noise-nan", 2, "synth moons --noise nan --out {d}/s.csv"),
+    ("synth-noise-inf", 2, "synth circles --noise inf --out {d}/s.csv"),
     ("synth-noise-overflow", 1, "synth moons --noise 1e308 --out {d}/s.csv"),
-    ("synth-sigma-inf", 1, "synth blobs --n 30 --sigma inf --out {d}/s.csv"),
-    ("synth-sigma-nan", 1, "synth blobs --n 30 --sigma nan --out {d}/s.csv"),
+    ("synth-sigma-inf", 2, "synth blobs --n 30 --sigma inf --out {d}/s.csv"),
+    ("synth-sigma-nan", 2, "synth blobs --n 30 --sigma nan --out {d}/s.csv"),
     ("synth-n-odd", 2, "synth moons --n 7 --out {d}/s.csv"),
     ("synth-out-dir", 1, "synth moons --out {d}"),
     ("synth-out-no-parent", 1, "synth moons --out {d}/absent/s.csv"),
@@ -792,6 +796,8 @@ CONTRACT_CASES = [
      "bench --datasets letter --data-dir {d}/latin1_data --repetitions 1 --warmup 0"),
     ("bench-out-dir", 1, "bench --datasets nosuch --repetitions 1 --warmup 0 --out {d}"),
     ("bench-k-0", 2, "bench --datasets blobs --k 0"),
+    ("bench-repeated-dataset", 2, "bench --datasets blobs,blobs --repetitions 1 --warmup 0"),
+    ("bench-repeated-algorithm", 2, "bench --datasets blobs --algos knn,superklust,knn"),
     ("fetch-unknown", 2, "fetch nosuch --data-dir {d}"),
     ("fetch-names-and-all", 2, "fetch letter --all --data-dir {d}"),
     ("fetch-manifest-text", 1, "fetch --verify --data-dir {d}/manifest_text"),
@@ -983,6 +989,22 @@ class TestErrorContract:
         assert err.splitlines() == [
             "error: x" + "y".join(repr(c)[1:-1] for c in breaks) + "\tz\\é"
         ]
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--datasets", "blobs,moons,blobs"], "error: repeated dataset name(s): blobs\n"),
+        (["--datasets", "blobs", "--algos", "knn,knn"],
+         "error: repeated algorithm name(s): knn\n"),
+    ], ids=["datasets", "algos"])
+    def test_repeated_name_runs_no_cell(self, monkeypatch, capsys, flags, line):
+        from superklust import bench
+
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(bench, "_run_cell", no_cell)
+        assert cli.main(["bench", *flags]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == line
 
     def test_unknown_algorithm_runs_no_cell(self, monkeypatch, capsys):
         from superklust import bench

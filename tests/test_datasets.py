@@ -147,6 +147,15 @@ class TestMoons:
         with pytest.raises(ValueError, match="noise"):
             make_moons(10, -0.1, 0)
 
+    @pytest.mark.parametrize("make", [
+        lambda noise: make_moons(10, noise, 0),
+        lambda noise: make_circles(10, 0.5, noise, 0),
+    ], ids=["moons", "circles"])
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_non_finite_noise(self, make, noise):
+        with pytest.raises(ValueError, match="^noise must be nonnegative and finite, got"):
+            make(noise)
+
 
 class TestCircles:
     def test_noise_free_radii(self):
@@ -205,6 +214,9 @@ class TestGaussianBlobs:
             make_gaussian_blobs(0, centers=[[0.0]], sigma=1.0, seed=0)
         with pytest.raises(ValueError, match="sigma"):
             make_gaussian_blobs(10, centers=[[0.0]], sigma=0.0, seed=0)
+        for sigma in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^sigma must be positive and finite, got"):
+                make_gaussian_blobs(10, centers=[[0.0]], sigma=sigma, seed=0)
 
 
 class TestLoadCsv:

@@ -225,8 +225,8 @@ def gamma(n: int, u: Fraction) -> Fraction:
 
 
 class TestScreenError:
-    """The float32 screen of predict, the float64 screens of Lloyd and
-    k_nearest_sets, and the explicit float64 reference, within the
+    """The float32 scan of predict and k_nearest_sets, the float64
+    screen of Lloyd, and the explicit float64 reference, within the
     error bounds that the _nearest docstring derives, checked against
     exact rational arithmetic on their float64 inputs: a screen value
     against 2 p . x - ||p||^2, the reference against ||p - x||^2. r is
@@ -309,8 +309,9 @@ class TestScreenError:
     ])
     def test_k_nearest_screen_within_the_derivation(self, monkeypatch, d, n_rows, n_sites,
                                                     samples):
-        # k_nearest_sets' float64 scores X @ (2P).T - ||p||^2, as it hands
-        # them to np.partition
+        # k_nearest_sets' float32 scores [x, 1] . forms, as the scan hands
+        # them to np.partition; rounding_bound covers twice the sum of
+        # their error and the reference's
         calls, partition = [], np.partition
 
         def capture(scores, kth, axis):
@@ -328,7 +329,12 @@ class TestScreenError:
             p, x = [Fraction(v) for v in P[j].tolist()], [Fraction(v) for v in X[i].tolist()]
             form = 2 * sum(a * b for a, b in zip(p, x)) - sum(a * a for a in p)
             error = abs(Fraction(float(scores[i, j])) - form)
-            assert error <= gamma(d + 1, self.U64) * r2
+            assert error <= gamma(d + 5, self.U32) * r2 + (2 * d + 3) * self.TAU32
+            dist = sum((a - b) ** 2 for a, b in zip(p, x))
+            ref_error = abs(Fraction(float(exact_sq_dists(X[i], P[j : j + 1])[0])) - dist)
+            bound = rounding_bound(float(np.linalg.norm(X[i])), float(np.linalg.norm(P[j])), d,
+                                   np.float32)
+            assert 2 * (error + ref_error) <= Fraction(float(bound))
 
     @staticmethod
     def built_cases(d):
@@ -349,11 +355,10 @@ class TestScreenError:
         # from the products: the screen's errors add.
         s64, s32 = 2.0**-26.5 / near, 2.0**-12
         rows = [
-            # Lloyd's and k_nearest_sets' screens; at a = 2^-8, the errors
-            # of ||p||^2 lead
+            # Lloyd's screen; at a = 2^-8, the errors of ||p||^2 lead
             lead(0.25, np.spacing(0.5) / 2 * near / (2 * s64)),
             lead(2.0**-8, np.spacing(2.0**-7) / 2 * near / (2 * s64)),
-            # predict's float32 screen
+            # the float32 scan of predict and k_nearest_sets
             lead(1.0, float(np.spacing(np.float32(2.0))) / 2 * near / (2 * s32)),
             # the reference: (p - x)^2 leads with 4, then terms just above
             # half an ulp of it
@@ -415,7 +420,7 @@ class TestScreenError:
         screens = [
             (f32_scores, np.float32, gamma(d + 5, self.U32), (2 * d + 3) * self.TAU32),
             (lloyd_calls[0], np.float64, gamma(d + 1, self.U64), 4 * d * self.TAU64),
-            (knn_calls[0], np.float64, gamma(d + 1, self.U64), 4 * d * self.TAU64),
+            (knn_calls[0], np.float32, gamma(d + 5, self.U32), (2 * d + 3) * self.TAU32),
         ]
         reference = np.array([exact_sq_dists(x, P) for x in X])
         exact = {}

@@ -26,6 +26,7 @@ from superklust import (
     correct,
     evaluate,
     fit,
+    load_csv,
     load_model,
     make_gaussian_blobs,
     make_moons,
@@ -489,13 +490,13 @@ class TestCorrect:
 
     def test_one_nearest_scan_per_call(self, monkeypatch):
         calls = []
-        scan = tessellation._nearest_rows
+        scan = _nearest.scan
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             calls.append(args)
-            return scan(*args)
+            return scan(*args, **kwargs)
 
-        monkeypatch.setattr(tessellation, "_nearest_rows", counting)
+        monkeypatch.setattr(_nearest, "scan", counting)
         train = self.blob_train()
         # a relabel and a prune: the rule counts two passes, correct scans once
         model = Model(
@@ -744,6 +745,46 @@ class TestEvaluate:
         empty = SimpleNamespace(X=np.empty((0, 2)), y=np.empty(0, dtype=np.int64))
         with pytest.raises(ValueError, match="empty test set"):
             evaluate(two_sided_model(), empty)
+
+    def test_test_file_with_other_tokens_refused(self, tmp_path):
+        # a model of tokens a, b and a test file of b, c: loaded by its own
+        # tokens, b and c take ids 0 and 1, which the model names a and b;
+        # scored by id, every row would count as right
+        train_csv, test_csv = tmp_path / "train.csv", tmp_path / "test.csv"
+        train_csv.write_text("0,0,a\n0.1,0,a\n5,5,b\n5.1,5,b\n")
+        test_csv.write_text("0,0,b\n5,5,c\n")
+        model = fit(load_csv(train_csv, label_column=-1), KMeansConfig(k=1))
+        test = load_csv(test_csv, label_column=-1)
+        assert model.label_names == ("a", "b") and test.label_names == ("b", "c")
+        np.testing.assert_array_equal(predict(to_discriminants(model), test.X), test.y)
+        for run, what in ((evaluate, "test"), (correct, "training")):
+            with pytest.raises(ValueError, match=f"^{what} labels must be the model's: label 'b' "
+                                                 "is class 0, which the model names 'a'$"):
+                run(model, test)
+
+    def test_test_file_loaded_with_the_models_tokens(self, tmp_path):
+        # loaded by the model's tokens, the same file names its unknown
+        # token, and a file of known tokens is scored by them
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_text("0,0,b\n5,5,c\n")
+        model = replace(two_sided_model(), label_names=("a", "b"))
+        with pytest.raises(ValueError, match="^test.csv: unknown label 'c'$"):
+            load_csv(test_csv, label_column=-1, label_names=model.label_names)
+        test_csv.write_text("1,0,b\n-1,0,b\n-1,0,a\n")
+        test = load_csv(test_csv, label_column=-1, label_names=model.label_names)
+        np.testing.assert_array_equal(test.y, [1, 1, 0])
+        assert evaluate(model, test) == pytest.approx(2 / 3)
+
+    def test_default_named_data_with_fewer_classes(self):
+        model = Model(points=[[0.0], [5.0], [10.0]], labels=[0, 1, 2], source_classes=[0, 1, 2],
+                      n_classes=3, k=1)
+        test = Dataset(X=[[0.1], [4.9], [5.1]], y=[0, 1, 1], n_classes=2)
+        assert evaluate(model, test) == 1.0
+        assert correct(model, test).labels.tolist() == [0, 1]
+        wide = Dataset(X=np.zeros((3, 2)), y=[0, 2, 1], n_classes=3)
+        with pytest.raises(ValueError, match=r"^test labels must lie in \[0, 2\): label '2' is "
+                                             r"class 2$"):
+            evaluate(two_sided_model(), wide)
 
 
 class TestSerialization:
