@@ -9,7 +9,7 @@ precomputed linear discriminants.
 The benchmark harness and the dataset fetcher are not imported here;
 import them by module name (superklust.bench, superklust.fetch)."""
 
-from .clustering import KMeansConfig, KMeansResult, fit_kmeans, kmeans_pp_init, lloyd
+from .clustering import KMeansConfig, KMeansResult, UsageError, fit_kmeans, kmeans_pp_init, lloyd
 from .datasets import (
     Dataset,
     ScalerParams,

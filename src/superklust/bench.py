@@ -13,9 +13,9 @@ from functools import partial
 import numpy as np
 
 from . import _nearest
-from .clustering import KMeansConfig
-from .cli import _ONE_LINE, UsageError, _within_fit_budget
+from .clustering import KMeansConfig, UsageError
 from .datasets import (
+    _ONE_LINE,
     Dataset,
     _csv_row,
     load_benchmark_dataset,
@@ -189,14 +189,15 @@ def run_benchmark(datasets: list, algos: list[str], config: BenchConfig) -> Benc
 
     Dataset entries are names (real datasets read from config.data_dir,
     synthetic ones generated on the fly) or (name, train, test) triples.
-    A name given twice raises UsageError (a ValueError) before any cell
-    runs. Per cell: training is timed over the full fit, accuracy
-    computed once, inference timed over the full test set. Loading and
-    standardization happen before the clock starts; a dataset that fails
-    there records the error in each of its cells. A failing cell records
-    its error and the rest still run. The report's config holds the
-    BenchConfig fields, the names run and, under "env", the environment
-    the run was measured in.
+    A name given twice raises clustering's UsageError (a ValueError)
+    before any cell runs. Per cell: training is timed over the full fit,
+    accuracy computed once, inference timed over the full test set.
+    Loading and standardization happen before the clock starts; a
+    dataset that fails there records the error in each of its cells. A
+    failing cell records its error and the rest still run; a fit over
+    clustering's budget fails that way, before it clusters. The report's
+    config holds the BenchConfig fields, the names run and, under "env",
+    the environment the run was measured in.
     """
     names = [entry if isinstance(entry, str) else entry[0] for entry in datasets]
     for kind, values in (("dataset", names), ("algorithm", list(algos))):
@@ -240,7 +241,6 @@ def _run_cell(algo: str, train: Dataset, test: Dataset, config: BenchConfig) -> 
     inference. Only the last model is kept: a KNN model copies the
     training rows."""
     if algo == "superklust":
-        _within_fit_budget(config.k, config.n_restarts, train.y)
         kcfg = KMeansConfig(k=config.k, n_restarts=config.n_restarts, seed=config.seed)
         train_step = partial(fit, train, kcfg)
         classifier = lambda model: partial(predict, to_discriminants(model))
@@ -271,7 +271,7 @@ def _cell_text(cell: BenchCell, kind: str) -> str:
 
 def _md_cell(name: str) -> str:
     """name as one markdown table cell: a `|` in it is escaped, and each
-    line break written as its escape sequence (see cli._ONE_LINE)."""
+    line break written as its escape sequence (see datasets._ONE_LINE)."""
     return name.replace("|", "\\|").translate(_ONE_LINE)
 
 

@@ -2,10 +2,11 @@
 export decision grids, benchmark, fetch datasets.
 
 Exit codes: 0 success, 1 runtime/IO failure, 2 usage error. The parser
-and the handlers raise UsageError for a command line that does not parse
-or a bad flag value (exit 2), including a request for more than
-MAX_VALUES float64 values, and handlers raise ValueError, OSError,
-RuntimeError or MemoryError for any other failure (exit 1); main alone
+and the handlers raise clustering's UsageError for a command line that
+does not parse or a bad flag value (exit 2), as the library's fitting
+entries do for a fit over clustering.MAX_VALUES float64 values; handlers
+raise ValueError, OSError, RuntimeError or MemoryError for any other
+failure (exit 1); main alone
 prints the one stderr line `error: ...`, line breaks escaped, which for
 bench and fetch --verify lists every failure, and returns the exit code
 (only --help exits). Handlers print nothing but fetch's progress: main
@@ -24,20 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, tessellation
-from .clustering import KMeansConfig
-
-# The most float64 values, 512 MiB, that one request may need: a grid,
-# a synthetic dataset, the k-means++ weights of every restart, or Lloyd's
-# screen of the largest class.
-MAX_VALUES = 1 << 26
-
-
-# Each character str.splitlines breaks a line at, as its escape sequence.
-_ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
-
-
-class UsageError(ValueError):
-    """A bad command line or flag value: main reports it with exit code 2."""
+from .clustering import KMeansConfig, UsageError, _within_budget
+from .datasets import _ONE_LINE
 
 
 class _Parser(argparse.ArgumentParser):
@@ -58,22 +47,6 @@ def _at_least(args, least: int, *flags: str) -> None:
     for flag in flags:
         value = getattr(args, flag[2:].replace("-", "_"))
         _require(value is None or value >= least, f"{flag} must be >= {least}")
-
-
-def _within_budget(values: int, request: str) -> None:
-    """Refuse a request for more than MAX_VALUES float64 values."""
-    _require(
-        values <= MAX_VALUES, f"{request} would take {values} float64 values, over 2^26 (512 MiB)"
-    )
-
-
-def _within_fit_budget(k: int, restarts: int, y: np.ndarray) -> None:
-    """Refuse a fit on the labels y whose k-means++ weights (restarts x
-    rows) or Lloyd screen (min(k, m) x m, for the m rows of the largest
-    class) would take more than MAX_VALUES float64 values."""
-    _within_budget(restarts * y.size, f"--restarts {restarts} x {y.size} rows")
-    m = int(np.bincount(y).max())
-    _within_budget(min(k, m) * m, f"--k {k} on a class of {m} rows")
 
 
 def _data_dir(args) -> str:
@@ -213,7 +186,6 @@ def cmd_fit(args) -> str:
     ds = datasets.load_csv(
         args.data, label_column=_parse_label_col(args.label_col), has_header=args.has_header
     )
-    _within_fit_budget(args.k, args.restarts, ds.y)
     scaler = datasets.standardize_fit(ds) if args.standardize else None
     train = ds if scaler is None else datasets.standardize_apply(scaler, ds)
     config = KMeansConfig(
@@ -241,7 +213,8 @@ def cmd_predict(args) -> str | None:
         X = datasets.load_csv_features(args.data, has_header=args.has_header)
     bank = tessellation.to_discriminants(model)
     labels = tessellation.predict(bank, X)
-    rows = [datasets._csv_row([name]) for name in model.label_names]
+    names = model.label_names  # one row per class the bank can answer, not per class
+    rows = {lab: datasets._csv_row([names[lab]]) for lab in set(bank.labels.tolist())}
     with datasets._text_out(args.out) as fh:
         fh.write("label\n" + "".join(rows[lab] for lab in labels.tolist()))
     if truth is not None:

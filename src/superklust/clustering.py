@@ -14,7 +14,28 @@ import numpy as np
 
 from ._nearest import exact_sq_dists, rounding_bound, select, sq_norms
 
-__all__ = ["KMeansConfig", "KMeansResult", "kmeans_pp_init", "lloyd", "fit_kmeans"]
+__all__ = ["UsageError", "KMeansConfig", "KMeansResult", "kmeans_pp_init", "lloyd", "fit_kmeans"]
+
+# The most float64 values, 512 MiB, that one request may need: the k-means++
+# weights of every restart, Lloyd's screen, a grid or a synthetic dataset.
+MAX_VALUES = 1 << 26
+
+
+class UsageError(ValueError):
+    """A request refused as given, as one over MAX_VALUES is: exit code 2 in the CLI."""
+
+
+def _within_budget(values: int, request: str) -> None:
+    """Refuse a request for more than MAX_VALUES float64 values."""
+    if values > MAX_VALUES:
+        raise UsageError(f"{request} would take {values} float64 values, over 2^26 (512 MiB)")
+
+
+def _within_fit_budget(n_restarts: int, centers: int, rows: int) -> None:
+    """Refuse clustering rows whose k-means++ weights (n_restarts x rows) or Lloyd
+    screen (centers x rows, min(k, rows) for k clusters) pass MAX_VALUES values."""
+    _within_budget(n_restarts * rows, f"n_restarts {n_restarts} x {rows} rows")
+    _within_budget(centers * rows, f"{centers} centers x {rows} rows")
 
 
 @dataclass(frozen=True)
@@ -83,13 +104,17 @@ def kmeans_pp_init(data, k: int, seed) -> np.ndarray | list[np.ndarray]:
     inverse-CDF draw stay its own. The GEMM's weights can differ from a
     lone seed's GEMV in their last bits, which changes a draw only if
     its target lies that close to an interval's edge. Raises ValueError
-    when the squared distances overflow float64, as no draw is defined.
+    when the squared distances overflow float64, as no draw is defined;
+    see _within_fit_budget for the UsageError raised before any draw.
     """
     data = _as_matrix(data, "data")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = data.shape[0]
-    rngs = [np.random.default_rng(s) for s in ([seed] if np.ndim(seed) == 0 else seed)]
+    single = isinstance(seed, (int, np.integer))
+    seeds = [seed] if single else seed  # a range of seeds stays lazy
+    _within_fit_budget(len(seeds), min(k, n), n)
+    rngs = [np.random.default_rng(s) for s in seeds]
     x_sq = sq_norms(data)
     x_norms = np.sqrt(x_sq)
 
@@ -119,7 +144,7 @@ def kmeans_pp_init(data, k: int, seed) -> np.ndarray | list[np.ndarray]:
                 # will do, duplicates get dropped as empty clusters in lloyd().
                 chosen[r, i] = rng.integers(n)
         np.minimum(closest, sq_dists_to(chosen[:, i]), out=closest)
-    return data[chosen[0]] if np.ndim(seed) == 0 else [data[c] for c in chosen]
+    return data[chosen[0]] if single else [data[c] for c in chosen]
 
 
 def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
@@ -143,7 +168,8 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
     each group is summed row by row in data order. select certifies each
     assignment, so it is the one a full recompute gives; its bound is
     remade only when the largest center norm outgrows the one it was
-    made for, as the bound grows with that norm.
+    made for, as the bound grows with that norm. A screen of more than
+    MAX_VALUES discriminants raises UsageError before it is made.
     """
     data = _as_matrix(data, "data")
     centers = _as_matrix(init_centers, "init_centers").copy()  # updated in place
@@ -154,6 +180,7 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
         )
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    _within_fit_budget(1, centers.shape[0], data.shape[0])
 
     x_norms = np.sqrt(sq_norms(data))
     prev_assign = np.full(data.shape[0], -1)  # before the first step, no sample has a cluster
@@ -199,7 +226,8 @@ def fit_kmeans(data, config: KMeansConfig) -> KMeansResult:
 
     Restart r seeds its k-means++ draw with config.seed + r; the draws of
     all restarts are made together. Ties go to the earliest restart, so
-    the result is deterministic given (data, config).
+    the result is deterministic given (data, config). A request over
+    MAX_VALUES raises UsageError from kmeans_pp_init, before any draw.
     """
     best = None
     for init in kmeans_pp_init(data, config.k, range(config.seed, config.seed + config.n_restarts)):

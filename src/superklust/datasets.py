@@ -7,6 +7,7 @@ import csv
 import itertools
 import math
 import sys
+from collections.abc import Sequence
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import cache, partial
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tessellation import DiscriminantBank, ScalerParams, _count, _names, predict
+from .tessellation import DiscriminantBank, ScalerParams, _count, _IdNames, _names, predict
 
 __all__ = [
     "Dataset",
@@ -42,13 +43,14 @@ class Dataset:
     bools refused).
 
     label_names maps each class id back to the original label token of
-    the source file (position = id), n_classes distinct strings; None stores the ids.
+    the source file (position = id), n_classes distinct strings; None
+    stores the ids, made as they are read (see Model.label_names).
     """
 
     X: np.ndarray
     y: np.ndarray
     n_classes: int
-    label_names: tuple[str, ...] | None = None
+    label_names: Sequence[str] | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -137,7 +139,7 @@ def make_gaussian_blobs(n_per_class: int, centers, sigma: float, seed: int) -> D
     return Dataset(X=X, y=y, n_classes=n_classes)
 
 
-def _labeled(path: Path, X, token_idx, tokens: list[str], label_names: tuple[str, ...] | None):
+def _labeled(path: Path, X, token_idx, tokens: list[str], label_names: Sequence[str] | None):
     """Dataset of X whose row i has the distinct label token tokens[token_idx[i]].
 
     Without label_names, tokens sort ascending (numerically when every
@@ -152,17 +154,20 @@ def _labeled(path: Path, X, token_idx, tokens: list[str], label_names: tuple[str
             label_names.sort(key=float)
         except ValueError:
             pass
-    ids = {tok: i for i, tok in enumerate(label_names)}
-    if len(ids) != len(label_names):
-        raise ValueError("label_names must not repeat a token")
+    if isinstance(label_names, _IdNames):  # the ids: look up only the file's tokens
+        ids = {tok: int(tok) for tok in tokens if tok in label_names}
+    else:
+        ids = {tok: i for i, tok in enumerate(label_names)}
+        if len(ids) != len(label_names):
+            raise ValueError("label_names must not repeat a token")
     unknown = [tok for tok in tokens if tok not in ids]
     if unknown:
         raise ValueError(f"{path.name}: unknown label {unknown[0]!r}")
     return Dataset(
         X=X,
         y=np.array([ids[tok] for tok in tokens], dtype=np.int64)[token_idx],
-        n_classes=len(ids),
-        label_names=tuple(label_names),
+        n_classes=len(label_names),
+        label_names=label_names,
     )
 
 
@@ -240,7 +245,7 @@ def _read_csv(path: Path, label_column, has_header: bool):
 
 
 def load_csv(
-    path, label_column, has_header: bool = False, label_names: tuple[str, ...] | None = None
+    path, label_column, has_header: bool = False, label_names: Sequence[str] | None = None
 ) -> Dataset:
     """Load a comma-separated file into a Dataset.
 
@@ -258,7 +263,7 @@ def load_csv_features(path, has_header: bool = False) -> np.ndarray:
     return _read_csv(Path(path), None, has_header)[0]
 
 
-def load_svmlight(path, n_features: int, label_names: tuple[str, ...] | None = None) -> Dataset:
+def load_svmlight(path, n_features: int, label_names: Sequence[str] | None = None) -> Dataset:
     """Load a "label idx:val ..." file with 1-based feature indices into
     a dense Dataset; absent indices are zero. Comment lines (leading
     '#') and blank lines are skipped."""
@@ -334,6 +339,10 @@ def decision_grid(bank: DiscriminantBank, x_range, y_range, resolution: int):
     ys = np.linspace(y_lo, y_hi, resolution)
     xy = np.column_stack([np.repeat(xs, resolution), np.tile(ys, resolution)])
     return xy, predict(bank, xy)
+
+
+# Each character str.splitlines breaks a line at, as its escape sequence.
+_ONE_LINE = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
 def _text_out(out):

@@ -22,14 +22,16 @@ from __future__ import annotations
 import base64
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields, replace
+from operator import eq
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _nearest
 from ._nearest import sq_norms
-from .clustering import KMeansConfig, fit_kmeans
+from .clustering import KMeansConfig, _within_fit_budget, fit_kmeans
 
 if TYPE_CHECKING:
     from .datasets import Dataset
@@ -80,15 +82,45 @@ def _count(name: str, value, least: int) -> int:
     return int(value)
 
 
-def _id_names(n_classes: int) -> tuple[str, ...]:
-    """The default label names of n_classes classes: "0", "1", ..."""
-    return tuple(map(str, range(n_classes)))
+class _IdNames(Sequence):
+    """The default label names of n classes, "0", "1", ..., each made when
+    it is read, so that a class count costs no memory. Equal to the tuple
+    of the same names."""
+
+    def __init__(self, n: int):
+        self._ids = range(n)
+
+    def __len__(self):
+        return len(self._ids)
+
+    def __getitem__(self, i):
+        ids = self._ids[i]
+        return tuple(map(str, ids)) if isinstance(i, slice) else str(ids)
+
+    def __contains__(self, token):
+        try:
+            return str(int(token)) == token and int(token) in self._ids
+        except (TypeError, ValueError):
+            return False
+
+    def __eq__(self, other):
+        if isinstance(other, _IdNames):
+            return self._ids == other._ids
+        return isinstance(other, tuple) and len(other) == len(self) and all(map(eq, other, self))
+
+    def __repr__(self):
+        return f"_IdNames({len(self)})"
 
 
-def _names(label_names, n_classes: int) -> tuple[str, ...]:
-    """label_names as a tuple of n_classes distinct strings; None gives the ids."""
-    names = _id_names(n_classes) if label_names is None else tuple(label_names)
-    if not (all(isinstance(t, str) for t in names) and len(set(names)) == len(names) == n_classes):
+def _names(label_names, n_classes: int) -> Sequence[str]:
+    """label_names as a tuple of n_classes distinct strings; None gives the _IdNames."""
+    names = _IdNames(n_classes) if label_names is None else label_names
+    if isinstance(names, _IdNames):
+        ok = len(names) == n_classes
+    else:
+        names = tuple(names)
+        ok = all(isinstance(t, str) for t in names) and len(set(names)) == len(names) == n_classes
+    if not ok:
         raise ValueError(f"label_names must be {n_classes} distinct strings")
     return names
 
@@ -150,8 +182,9 @@ class Model(_ArrayEq):
     correct) one >= 0; numpy integers are stored as int, bools refused.
 
     label_names holds the n_classes distinct label tokens of the data
-    the model was fitted on, the token of each class id at its position;
-    None stores the ids themselves as names, "0", "1", ...
+    the model was fitted on, the token of each class id at its position,
+    as a tuple; None stores the ids themselves as names, "0", "1", ...,
+    made as they are read and equal to their tuple.
 
     scaler, when present, maps raw feature rows to the coordinates of
     points: predict (through the bank), evaluate and correct take raw
@@ -164,7 +197,7 @@ class Model(_ArrayEq):
     n_classes: int
     k: int
     correction_iterations: int = 0
-    label_names: tuple[str, ...] | None = None
+    label_names: Sequence[str] | None = None
     scaler: ScalerParams | None = None
 
     def __post_init__(self):
@@ -329,7 +362,9 @@ def _predict_row(bank: DiscriminantBank, raw: np.ndarray) -> int:
 def _check_labels(model: Model, data: "Dataset", what: str) -> None:
     """Refuse data with a class id c of data.y past the model's classes,
     or whose token data.label_names[c] is not model.label_names[c]."""
-    for c in np.flatnonzero(np.bincount(data.y)).tolist():
+    y = data.y  # a count per class would cost more than the rows when classes outnumber them
+    present = np.flatnonzero(np.bincount(y)) if data.n_classes <= y.size else np.unique(y)
+    for c in present.tolist():
         name, n = data.label_names[c], model.n_classes
         if c >= n:
             raise ValueError(f"{what} labels must lie in [0, {n}): label {name!r} is class {c}")
@@ -394,7 +429,8 @@ def fit(train: "Dataset", config: KMeansConfig) -> Model:
     """Fit the full pipeline: per-class k-means, assembly, and the one
     correction pass (see correct).
 
-    Every class in [0, n_classes) must have at least one sample. Class c
+    Every class in [0, n_classes) must have a sample, and the largest
+    must fit the MAX_VALUES budget, before any class clusters. Class c
     clusters with config's fields and seed config.seed + c *
     config.n_restarts, so that no two (class, restart) pairs share a
     seed; the whole fit is deterministic given (train, config). The
@@ -402,11 +438,18 @@ def fit(train: "Dataset", config: KMeansConfig) -> Model:
     """
     if train.X.shape[0] == 0:
         raise ValueError("training set must not be empty")
+    # n rows fill at most n classes, so ids past n can share one count: the first zero is
+    # then still the first class without samples, and the counts cost no more than the rows
+    n, y = train.n, train.y
+    sizes = np.bincount(y if train.n_classes <= n else np.minimum(y, n),
+                        minlength=min(train.n_classes, n + 1))
+    if not sizes.all():
+        raise ValueError(f"class {int(sizes.argmin())} has no training samples")
+    m = int(sizes.max())
+    _within_fit_budget(config.n_restarts, min(config.k, m), m)
     per_class_centers = []
     for c in range(train.n_classes):
         Xc = train.X[train.y == c]
-        if Xc.shape[0] == 0:
-            raise ValueError(f"class {c} has no training samples")
         cfg = replace(config, seed=config.seed + c * config.n_restarts)
         per_class_centers.append(fit_kmeans(Xc, cfg).centers)
     model = replace(assemble(per_class_centers, k=config.k), label_names=train.label_names)
@@ -455,7 +498,7 @@ def save_model(model: Model) -> bytes:
         "labels": model.labels.tolist(),
         "source_classes": model.source_classes.tolist(),
     }
-    if model.label_names != _id_names(model.n_classes):
+    if model.label_names != _IdNames(model.n_classes):
         doc["label_names"] = list(model.label_names)
     if model.scaler is not None:
         doc["scaler"] = _b64_f8(np.stack([model.scaler.mean, model.scaler.scale]))

@@ -1,12 +1,37 @@
 import os
+import subprocess
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import superklust
 from superklust import KMeansConfig, KMeansResult, Model
 from superklust._nearest import rounding_bound
+
+
+# A model of 10^9 classes as save_model writes it: one generator, at the
+# origin of the plane, labeled class 999999999.
+HUGE_CLASS_COUNT_DOC = (
+    '{"version":2,"d":2,"n_classes":1000000000,"k":1,"correction_iterations":0,'
+    '"labels":[999999999],"source_classes":[999999999],"points":"AAAAAAAAAAAAAAAAAAAAAA=="}\n'
+)
+
+
+def run_capped(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run Python code, with this package importable, in a process whose
+    address space is capped at 1 GiB: an allocation that the code should
+    not make then fails at once instead of growing."""
+    prelude = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        f"sys.path.insert(0, {str(Path(superklust.__file__).parents[1])!r})\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-c", prelude + code, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
 
 
 def benchmark_data_dir() -> Path:

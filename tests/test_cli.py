@@ -30,6 +30,7 @@ from superklust import (
     write_dataset_csv,
     write_grid_csv,
 )
+from conftest import HUGE_CLASS_COUNT_DOC
 
 
 def run_cli(*argv, cwd=None, env=None):
@@ -812,7 +813,7 @@ CONTRACT_CASES = [
     ("parse-bad-choice", 2, "synth nope --out {d}/s.csv"),
 ]
 
-# Requests beyond cli.MAX_VALUES; big.csv is 4096 rows of one class,
+# Requests beyond clustering.MAX_VALUES; big.csv is 4096 rows of one class,
 # tall.csv 9000, whose Lloyd screen at --k 9000 holds 9000^2 values.
 OVERSIZED_CASES = [
     ("grid-resolution", "grid --model {model} --resolution 100000"),
@@ -887,6 +888,30 @@ LIMITED_MAIN = (
     "from superklust.cli import main\n"
     "sys.exit(main(sys.argv[1:]))\n"
 )
+
+
+class TestClassCountCost:
+    """predict and grid on a model of 10^9 classes cost what its file
+    costs, under the same 1 GiB cap."""
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_predict_and_grid(self, tmp_path):
+        (tmp_path / "big.json").write_text(HUGE_CLASS_COUNT_DOC)
+        (tmp_path / "x.csv").write_text("0,0,999999999\n1,1,999999999\n")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        summaries = {}
+        for argv in ("predict --model {d}/big.json --data {d}/x.csv --label-col -1 --out {d}/p.csv",
+                     "grid --model {d}/big.json --resolution 2 --out {d}/g.csv"):
+            proc = subprocess.run(
+                [sys.executable, "-c", LIMITED_MAIN, *argv.format(d=tmp_path).split()],
+                capture_output=True, text=True, env=env, timeout=20,
+            )
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            summaries[argv.split()[0]] = proc.stdout
+        assert summaries == {"predict": "accuracy: 1.0000\n", "grid": ""}
+        assert (tmp_path / "p.csv").read_text() == "label\n999999999\n999999999\n"
+        grid = (tmp_path / "g.csv").read_text().splitlines()
+        assert [row.split(",")[2] for row in grid] == ["label"] + ["999999999"] * 4
 
 
 class TestErrorContract:
@@ -1057,7 +1082,7 @@ class TestErrorContract:
         )
         assert proc.returncode == 1, proc.stderr
         [line] = proc.stderr.splitlines()
-        assert line.startswith("error: cell (blobs, superklust) failed: UsageError: --restarts ")
+        assert line.startswith("error: cell (blobs, superklust) failed: UsageError: n_restarts ")
         assert line.endswith(" float64 values, over 2^26 (512 MiB)")
         assert "| superklust | error |" in proc.stdout
 
@@ -1079,8 +1104,8 @@ class TestErrorContract:
         assert proc.returncode == 1, proc.stderr
         [line] = proc.stderr.splitlines()
         assert line == (
-            "error: cell (letter, superklust) failed: UsageError: --k 9000 on a class of"
-            " 9000 rows would take 81000000 float64 values, over 2^26 (512 MiB)"
+            "error: cell (letter, superklust) failed: UsageError: 9000 centers x 9000 rows"
+            " would take 81000000 float64 values, over 2^26 (512 MiB)"
         )
         assert "| superklust | error |" in proc.stdout
 

@@ -1,8 +1,19 @@
+import sys
+
 import numpy as np
 import pytest
 
-from superklust import KMeansConfig, fit_kmeans, kmeans_pp_init, lloyd
-from conftest import kmeans_oracle, kmeans_pp_oracle, lloyd_oracle
+from superklust import (
+    Dataset,
+    KMeansConfig,
+    UsageError,
+    clustering,
+    fit,
+    fit_kmeans,
+    kmeans_pp_init,
+    lloyd,
+)
+from conftest import kmeans_oracle, kmeans_pp_oracle, lloyd_oracle, run_capped
 
 
 def nearest_assignment(data, centers):
@@ -360,3 +371,59 @@ class TestKMeansConfigValidation:
         data = np.arange(12.0).reshape(6, 2)
         want = fit_kmeans(data, KMeansConfig(k=3, max_iter=5, n_restarts=2, seed=250))
         assert_same_run(fit_kmeans(data, config), want)
+
+
+# Each fitting entry on a request over the 2^26-value budget, and the
+# request its UsageError names: 10^8 restarts of 40 moons rows (20 a
+# class), or Lloyd's screen of 9000 centers on 9000 rows.
+BUDGET_CASES = {
+    "fit": ("fit(moons, KMeansConfig(k=2, n_restarts=10**8))", "n_restarts 100000000 x 20 rows"),
+    "fit_kmeans": ("fit_kmeans(moons.X, KMeansConfig(k=2, n_restarts=10**8))",
+                   "n_restarts 100000000 x 40 rows"),
+    "kmeans_pp_init": ("kmeans_pp_init(moons.X, 2, range(10**8))",
+                       "n_restarts 100000000 x 40 rows"),
+    "lloyd": ("lloyd(tall, tall)", "9000 centers x 9000 rows"),
+}
+
+
+class TestBudget:
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    @pytest.mark.parametrize("call, refused", BUDGET_CASES.values(), ids=BUDGET_CASES)
+    def test_refused_before_allocating(self, call, refused):
+        code = (
+            "import time\n"
+            "import numpy as np\n"
+            "from superklust import (KMeansConfig, UsageError, fit, fit_kmeans, kmeans_pp_init,\n"
+            "                        lloyd, make_moons)\n"
+            "moons, tall = make_moons(40, 0.1, 0), np.arange(9000.0)[:, None]\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            f"    {call}\n"
+            "except UsageError as exc:\n"
+            "    print(time.perf_counter() - start, exc, sep='\\n')\n"
+        )
+        proc = run_capped(code)
+        assert proc.returncode == 0, proc.stderr
+        seconds, message = proc.stdout.splitlines()
+        assert float(seconds) < 5.0
+        assert message.startswith(refused + " would take ")
+        assert message.endswith(" float64 values, over 2^26 (512 MiB)")
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # with a budget of 100 values, 10 x 10 of either array is allowed and 11 x 10 is not
+        monkeypatch.setattr(clustering, "MAX_VALUES", 100)
+        data = np.arange(10.0)[:, None]
+        assert len(kmeans_pp_init(data, 1, range(10))) == 10
+        with pytest.raises(UsageError, match="^n_restarts 11 x 10 rows would take 110 "):
+            kmeans_pp_init(data, 1, range(11))
+        assert lloyd(data, data).centers.shape == (10, 1)
+        with pytest.raises(UsageError, match="^11 centers x 10 rows would take 110 "):
+            lloyd(data, np.arange(11.0)[:, None])
+
+    def test_fit_counts_its_largest_class(self, monkeypatch):
+        # 10 restarts of two 10-row classes: 100 weights per class, though 200 rows in all
+        monkeypatch.setattr(clustering, "MAX_VALUES", 100)
+        train = Dataset(X=np.arange(20.0)[:, None], y=np.repeat([0, 1], 10), n_classes=2)
+        assert fit(train, KMeansConfig(k=10, n_restarts=10)).n_classes == 2
+        with pytest.raises(UsageError, match="^n_restarts 11 x 10 rows would take 110 "):
+            fit(train, KMeansConfig(k=10, n_restarts=11))

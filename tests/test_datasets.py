@@ -308,6 +308,18 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="unknown label 'C'"):
             load_csv(p, label_column=2, label_names=("A", "B"))
 
+    def test_default_names_map_the_file_tokens(self, tmp_path):
+        # the ids "0", "1", ... of a model, looked up one token at a time
+        names = Dataset(X=np.zeros((1, 1)), y=[0], n_classes=1000).label_names
+        p = tmp_path / "data.csv"
+        p.write_text("1,999\n2,0\n")
+        ds = load_csv(p, label_column=1, label_names=names)
+        np.testing.assert_array_equal(ds.y, [999, 0])
+        assert ds.n_classes == 1000 and ds.label_names == tuple(map(str, range(1000)))
+        p.write_text("1,0\n2,01\n")
+        with pytest.raises(ValueError, match="^data.csv: unknown label '01'$"):
+            load_csv(p, label_column=1, label_names=names)
+
     def test_repeated_label_name_refused(self, tmp_path):
         p = tmp_path / "data.csv"
         p.write_text("1,2,A\n")

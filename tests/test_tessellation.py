@@ -22,6 +22,7 @@ from superklust import (
     ModelVersionError,
     NonFiniteModelError,
     ScalerParams,
+    UsageError,
     assemble,
     correct,
     evaluate,
@@ -37,7 +38,7 @@ from superklust import (
     to_discriminants,
 )
 from superklust import _nearest, tessellation
-from conftest import predict_oracle, random_labeled_model
+from conftest import HUGE_CLASS_COUNT_DOC, predict_oracle, random_labeled_model, run_capped
 
 
 def multi_pass_correct(model, train, max_passes=100):
@@ -702,6 +703,26 @@ class TestFit:
         with pytest.raises(ValueError, match="class 2"):
             fit(train, KMeansConfig(k=1, seed=0))
 
+    @pytest.mark.parametrize("y, empty", [([0, 0, 1, 1], 2), ([0, 0, 2, 2], 1)],
+                             ids=["last", "middle"])
+    def test_missing_class_refused_before_clustering(self, monkeypatch, y, empty):
+        calls = []
+        monkeypatch.setattr(tessellation, "fit_kmeans", lambda *args: calls.append(args))
+        train = Dataset(X=np.zeros((4, 2)), y=np.array(y), n_classes=3)
+        with pytest.raises(ValueError, match=f"^class {empty} has no training samples$"):
+            fit(train, KMeansConfig(k=1, seed=0))
+        assert calls == []
+
+    def test_budget_refused_before_clustering(self, monkeypatch):
+        # class 1's 9000 rows at k = 9000: Lloyd's screen would hold 9000^2 values
+        calls = []
+        monkeypatch.setattr(tessellation, "fit_kmeans", lambda *args: calls.append(args))
+        y = np.repeat([0, 1], [2, 9000])
+        train = Dataset(X=np.arange(9002.0)[:, None], y=y, n_classes=2)
+        with pytest.raises(UsageError, match="^9000 centers x 9000 rows would take 81000000 "):
+            fit(train, KMeansConfig(k=9000, n_restarts=1))
+        assert calls == []
+
     def test_deterministic(self):
         train = make_moons(200, noise=0.2, seed=14)
         config = KMeansConfig(k=5, seed=3, n_restarts=3)
@@ -785,6 +806,44 @@ class TestEvaluate:
         with pytest.raises(ValueError, match=r"^test labels must lie in \[0, 2\): label '2' is "
                                              r"class 2$"):
             evaluate(two_sided_model(), wide)
+
+
+class TestClassCount:
+    """A class count costs what its input costs: the default names "0",
+    "1", ... are made as they are read."""
+
+    def test_default_names_read_as_their_tuple(self):
+        names = Model(points=[[0.0]], labels=[0], source_classes=[0], n_classes=3, k=1).label_names
+        assert names == ("0", "1", "2") and ("0", "1", "2") == names
+        assert names != ("0", "1") and names != ("0", "1", "x") and names != ["0", "1", "2"]
+        assert list(names) == ["0", "1", "2"] and names[-1] == "2" and names[1:] == ("1", "2")
+        assert "2" in names
+        assert not any(token in names for token in ("3", "-0", "01", " 1", "+1", "1_0", 1, None))
+        with pytest.raises(IndexError):
+            names[3]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_huge_class_count_costs_its_input(self):
+        code = (
+            "import time\n"
+            "import numpy as np\n"
+            "from superklust import Dataset, load_model, save_model\n"
+            "start = time.perf_counter()\n"
+            "model = load_model(sys.argv[1])\n"
+            "loaded = time.perf_counter() - start\n"
+            "start = time.perf_counter()\n"
+            "ds = Dataset(np.zeros((1, 1)), [0], n_classes=10**9)\n"
+            "print(loaded, time.perf_counter() - start)\n"
+            "saved = save_model(model)\n"
+            "print(saved.decode() == sys.argv[1], load_model(saved) == model)\n"
+            "print(len(model.label_names), model.label_names[-1], ds.label_names[999_999_999])\n"
+        )
+        proc = run_capped(code, HUGE_CLASS_COUNT_DOC)
+        assert proc.returncode == 0, proc.stderr
+        times, round_trip, names = proc.stdout.splitlines()
+        assert all(float(seconds) < 1.0 for seconds in times.split())
+        assert round_trip == "True True"
+        assert names == "1000000000 999999999 999999999"
 
 
 class TestSerialization:
