@@ -13,7 +13,8 @@ site index. Negating a score and doubling p are exact, so the bound
 below holds for the discriminants as for ||p||^2 - 2 p . x.
 
 Lloyd's assignment and the k-means++ weights screen in float64. predict,
-correct and the KNN baseline (k_nearest_sets) share one float32 scan.
+correct and the KNN baseline (k_nearest_sets) share one float32 scan;
+correct and the KNN baseline vote over its answers with majority.
 
 Why the bound holds. Write u for the unit roundoff of a format (2^-53
 in float64, 2^-24 in float32), gamma_n = n u / (1 - n u), r = ||x|| +
@@ -235,3 +236,26 @@ def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int) -> np.ndarray:
     rows are ordered by (exact_sq_dists, index); shape (n, k), each row
     in no particular order: scan of X against the sites P, in one call."""
     return scan(X, linear_forms(P), P, float(np.sqrt(sq_norms(P).max())), k=k)
+
+
+def majority(groups: np.ndarray, classes: np.ndarray, prefer=None):
+    """Per group that occurs, in ascending order, the class it holds most
+    often: prefer[group] when that ties for the most, else the lowest
+    tied class. Returns (groups, classes). It counts only the (group,
+    class) pairs that occur, so it costs the pairs, not groups x
+    n_classes; it sorts them as pairs, as group * n_classes + class
+    can pass int64."""
+    order = np.lexsort((classes, groups))
+    g, c = groups[order], classes[order]
+    new = np.ones(g.size, dtype=bool)  # the first of each (group, class) pair
+    new[1:] = (g[1:] != g[:-1]) | (c[1:] != c[:-1])
+    start = np.flatnonzero(new)
+    counts = np.diff(start, append=g.size)
+    group, cls = g[start], c[start]
+    if prefer is not None:
+        counts = 2 * counts + (cls == prefer[group])  # the preferred class wins its tie
+    order = np.lexsort((-counts, group))  # stable: the lowest class first among equal counts
+    first = np.ones(group.size, dtype=bool)  # the first pair of each group
+    first[1:] = group[1:] != group[:-1]
+    win = order[first]
+    return group[win], cls[win]

@@ -101,7 +101,9 @@ def knn_predict(model: KnnModel, X) -> np.ndarray:
 
     Neighbors are the first n_neighbors training points ordered by
     (exact explicit-difference squared distance, training index); vote
-    ties go to the lowest class id. The neighbors come from predict's
+    ties go to the lowest class id. The vote counts only the classes
+    among each query's neighbors, so it costs queries x n_neighbors, not
+    queries x n_classes. The neighbors come from predict's
     certified float32 scan, _nearest.scan, which raises predict's
     ValueError naming the first non-finite query row.
     """
@@ -111,9 +113,8 @@ def knn_predict(model: KnnModel, X) -> np.ndarray:
             f"dimension mismatch: queries must be 2-D with {model.X.shape[1]} features"
         )
     nn = _nearest.scan(X, model.bank.forms, model.X, model.bank.p_max, k=model.n_neighbors)
-    offsets = model.y[nn] + np.arange(X.shape[0])[:, None] * model.n_classes
-    counts = np.bincount(offsets.ravel(), minlength=X.shape[0] * model.n_classes)
-    return counts.reshape(X.shape[0], model.n_classes).argmax(axis=1)
+    # Every query has a vote, so the winners come one per query, in order.
+    return _nearest.majority(np.repeat(np.arange(nn.shape[0]), nn.shape[1]), model.y[nn].ravel())[1]
 
 
 @dataclass

@@ -106,16 +106,24 @@ def kmeans_pp_init(data, k: int, seed) -> np.ndarray | list[np.ndarray]:
     its target lies that close to an interval's edge. Raises ValueError
     when the squared distances overflow float64, as no draw is defined;
     see _within_fit_budget for the UsageError raised before any draw.
+    data and k are validated here, then the draws run in _kmeans_pp,
+    which fit_kmeans calls directly with its own validated rows.
     """
     data = _as_matrix(data, "data")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = data.shape[0]
     single = isinstance(seed, (int, np.integer))
-    seeds = [seed] if single else seed  # a range of seeds stays lazy
+    chosen = _kmeans_pp(data, sq_norms(data), k, [seed] if single else seed)
+    return data[chosen[0]] if single else [data[c] for c in chosen]
+
+
+def _kmeans_pp(data: np.ndarray, x_sq: np.ndarray, k: int, seeds) -> np.ndarray:
+    """kmeans_pp_init's draws on validated data with squared row norms
+    x_sq: the chosen row indices, one row of min(k, n) per seed (a range
+    of seeds stays lazy)."""
+    n = data.shape[0]
     _within_fit_budget(len(seeds), min(k, n), n)
     rngs = [np.random.default_rng(s) for s in seeds]
-    x_sq = sq_norms(data)
     x_norms = np.sqrt(x_sq)
 
     def sq_dists_to(idx: np.ndarray) -> np.ndarray:
@@ -144,7 +152,7 @@ def kmeans_pp_init(data, k: int, seed) -> np.ndarray | list[np.ndarray]:
                 # will do, duplicates get dropped as empty clusters in lloyd().
                 chosen[r, i] = rng.integers(n)
         np.minimum(closest, sq_dists_to(chosen[:, i]), out=closest)
-    return data[chosen[0]] if single else [data[c] for c in chosen]
+    return chosen
 
 
 def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
@@ -169,7 +177,10 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
     assignment, so it is the one a full recompute gives; its bound is
     remade only when the largest center norm outgrows the one it was
     made for, as the bound grows with that norm. A screen of more than
-    MAX_VALUES discriminants raises UsageError before it is made.
+    MAX_VALUES discriminants raises UsageError before it is made. data
+    and init_centers are validated and the centers copied here, then the
+    iterations run in _lloyd, which fit_kmeans calls directly with its
+    own validated rows and norms.
     """
     data = _as_matrix(data, "data")
     centers = _as_matrix(init_centers, "init_centers").copy()  # updated in place
@@ -181,8 +192,13 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     _within_fit_budget(1, centers.shape[0], data.shape[0])
+    return _lloyd(data, np.sqrt(sq_norms(data)), centers, max_iter)
 
-    x_norms = np.sqrt(sq_norms(data))
+
+def _lloyd(data: np.ndarray, x_norms: np.ndarray, centers: np.ndarray,
+           max_iter: int) -> KMeansResult:
+    """lloyd's iterations on validated data with row norms x_norms, from
+    centers, which it owns and updates in place."""
     prev_assign = np.full(data.shape[0], -1)  # before the first step, no sample has a cluster
     iterations = 0
     with np.errstate(over="ignore", invalid="ignore"):  # overflowing rows get inf bounds
@@ -217,7 +233,9 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
             prev_assign = assign
             iterations += 1
 
-    inertia = float(np.square(data - centers[assign]).sum())
+    residuals = centers[assign]  # one buffer: the same sum as np.square(data - centers[assign])
+    np.subtract(data, residuals, out=residuals)
+    inertia = float(np.square(residuals, out=residuals).sum())
     return KMeansResult(centers, assign, inertia, iterations)
 
 
@@ -226,12 +244,17 @@ def fit_kmeans(data, config: KMeansConfig) -> KMeansResult:
 
     Restart r seeds its k-means++ draw with config.seed + r; the draws of
     all restarts are made together. Ties go to the earliest restart, so
-    the result is deterministic given (data, config). A request over
-    MAX_VALUES raises UsageError from kmeans_pp_init, before any draw.
+    the result is deterministic given (data, config), and equal to the
+    best of lloyd(data, kmeans_pp_init(data, k, seed + r)). data is
+    validated, and its row norms taken, once here; every restart shares
+    them. A request over MAX_VALUES raises UsageError before any draw.
     """
+    data = _as_matrix(data, "data")
+    x_sq = sq_norms(data)
+    x_norms = np.sqrt(x_sq)
     best = None
-    for init in kmeans_pp_init(data, config.k, range(config.seed, config.seed + config.n_restarts)):
-        result = lloyd(data, init, max_iter=config.max_iter)
+    for c in _kmeans_pp(data, x_sq, config.k, range(config.seed, config.seed + config.n_restarts)):
+        result = _lloyd(data, x_norms, data[c], config.max_iter)
         if best is None or result.inertia < best.inertia:
             best = result
     return best

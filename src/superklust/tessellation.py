@@ -379,7 +379,9 @@ def correct(model: Model, train: "Dataset") -> Model:
     by predict's scan, _nearest.scan (exact, ties to lowest index);
     (2) give each generator the majority label of its samples, keeping
     the current label when it ties for the majority and otherwise taking
-    the lowest tied class id; (3) drop generators that received no
+    the lowest tied class id (_nearest.majority, which counts only the
+    (generator, class) pairs that occur, so no table of generators x
+    n_classes is made); (3) drop generators that received no
     samples. Training accuracy never decreases: majority relabeling is
     optimal for the fixed partition, and the prune keeps every sample's
     nearest generator.
@@ -405,15 +407,12 @@ def correct(model: Model, train: "Dataset") -> Model:
     _check_labels(model, train, "training")
     y = np.asarray(train.y)
     labels = model.labels
-    G, C = labels.shape[0], model.n_classes
     bank = to_discriminants(model)
     assign = _nearest.scan(train.X, bank.forms, bank.points, bank.p_max, bank.scaler,
                            what="training")
-    counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
-    # An empty cell ties every class at 0 and so keeps its label.
-    tied = counts == counts.max(axis=1, keepdims=True)
-    new_labels = np.where(tied[np.arange(G), labels], labels, tied.argmax(axis=1))
-    occupied = counts.any(axis=1)
+    held, majority = _nearest.majority(assign, y, prefer=labels)
+    new_labels, occupied = labels.copy(), np.zeros(labels.shape[0], dtype=bool)
+    new_labels[held], occupied[held] = majority, True
     changed = bool((new_labels != labels).any() or not occupied.all())
     # A nonempty training set keeps at least one generator occupied.
     return replace(

@@ -1,6 +1,7 @@
 import csv
 import io
 import re
+import sys
 import time
 
 import numpy as np
@@ -16,7 +17,7 @@ from superklust.bench import (
     synthetic_benchmark_data,
     time_op,
 )
-from conftest import random_labeled_model
+from conftest import random_labeled_model, run_capped
 
 
 class TestTimeOp:
@@ -69,6 +70,13 @@ class TestKnn:
         model = knn_fit(train, n_neighbors=2)
         np.testing.assert_array_equal(knn_predict(model, [[1.0, 0.0]]), [0])
 
+    def test_class_ids_whose_pair_key_passes_int64(self):
+        # query 2 x n_classes 4e18 passes int64: the votes sort as pairs
+        C = 4 * 10**18
+        train = Dataset(X=[[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]], y=[C - 1, 2, C - 1], n_classes=C)
+        model = knn_fit(train, n_neighbors=1)
+        np.testing.assert_array_equal(knn_predict(model, train.X), train.y)
+
     def test_distance_tie_goes_to_lowest_training_index(self):
         train = Dataset(
             X=np.array([[-1.0, 0.0], [1.0, 0.0]]), y=np.array([1, 0]), n_classes=2
@@ -89,6 +97,34 @@ class TestKnn:
             np.testing.assert_array_equal(
                 knn_predict(model, queries), knn_oracle(model, queries)
             )
+
+    def test_agrees_with_quadratic_oracle_on_vote_ties(self):
+        # grid rows (distance ties), few neighbors among many classes (vote ties)
+        rng = np.random.default_rng(42)
+        for _ in range(40):
+            n, C = int(rng.integers(1, 40)), int(rng.integers(1, 60))
+            train = Dataset(X=rng.integers(-3, 4, size=(n, 2)).astype(float),
+                            y=rng.integers(C, size=n), n_classes=C)
+            model = knn_fit(train, n_neighbors=int(rng.integers(1, n + 1)))
+            queries = rng.integers(-4, 5, size=(int(rng.integers(0, 30)), 2)) * 0.5
+            np.testing.assert_array_equal(
+                knn_predict(model, queries), knn_oracle(model, queries)
+            )
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_huge_class_count_votes_in_its_input(self):
+        # the vote costs queries x n_neighbors, not queries x n_classes
+        code = (
+            "import numpy as np\n"
+            "from superklust import Dataset\n"
+            "from superklust.bench import knn_fit, knn_predict\n"
+            "train = Dataset(np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 0.0]]), "
+            "[999_999_999, 7, 7], n_classes=10**9)\n"
+            "print(knn_predict(knn_fit(train, 2), [[0.4, 0.0], [4.0, 0.0]]).tolist())\n"
+        )
+        proc = run_capped(code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[7, 7]\n"
 
     def test_training_row_beyond_float32_reach(self, monkeypatch):
         # a training row past 2^63, the float32 screen's safe reach, sends

@@ -277,6 +277,32 @@ class TestAgainstOracle:
             )
             assert_same_run(fit_kmeans(data, config), kmeans_oracle(data, config))
 
+    def test_fit_kmeans_is_the_best_public_restart(self):
+        # fit_kmeans validates the rows and takes their norms once for all of
+        # its restarts; its result is still the earliest lowest-inertia run of
+        # lloyd from kmeans_pp_init, the public calls, each validating anew
+        rng = np.random.default_rng(45)
+        instances = [random_instance(rng) for _ in range(80)]
+        distinct = rng.integers(-2, 3, size=(3, 617)).astype(float)
+        instances += [
+            distinct[rng.integers(3, size=30)],  # d = 617 with duplicate rows
+            rng.normal(size=(6, 617)),
+            np.asfortranarray(rng.normal(size=(50, 16))),
+            rng.integers(-3, 4, size=(40, 2)).tolist(),  # integers, as a list
+        ]
+        for data in instances:
+            n = len(data)
+            config = KMeansConfig(
+                k=int(rng.integers(1, n + 4)),  # k > n too
+                max_iter=int(rng.choice([1, 2, 100])),
+                n_restarts=int(rng.integers(1, 5)),
+                seed=int(rng.integers(1 << 32)),
+            )
+            runs = [lloyd(data, kmeans_pp_init(data, config.k, config.seed + r), config.max_iter)
+                    for r in range(config.n_restarts)]
+            best = min(runs, key=lambda run: run.inertia)  # the first of equal inertias
+            assert_same_run(fit_kmeans(data, config), best)
+
     def test_seed_sequence_equals_per_seed_calls(self):
         rng = np.random.default_rng(41)
         for _ in range(100):

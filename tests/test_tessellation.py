@@ -657,6 +657,46 @@ class TestCorrect:
             np.testing.assert_array_equal(got.points, np.array(want_points))
             np.testing.assert_array_equal(got.labels, want_labels)
 
+    def test_pair_counts_match_the_dense_table(self):
+        # correct counts only the (generator, class) pairs that occur; it gives
+        # the dense (generators x classes) formula's labels, prunes and pass
+        # count. Few classes among the labels and grid rows make vote ties and
+        # distance ties, far generators empty cells; C is small or above n.
+        rng = np.random.default_rng(71)
+        for _ in range(300):
+            G, n = int(rng.integers(1, 30)), int(rng.integers(1, 40))
+            C = int(rng.choice([int(rng.integers(1, 5)), int(rng.integers(n + 1, 3 * n + 5))]))
+            points = rng.integers(-3, 4, size=(G, 2)) * rng.choice([1.0, 10.0], size=(G, 1))
+            model = Model(points=points, labels=rng.integers(C, size=G),
+                          source_classes=rng.integers(C, size=G), n_classes=C, k=G)
+            X = rng.integers(-6, 7, size=(n, 2)) * 0.5
+            y = rng.choice(rng.integers(C, size=int(rng.integers(1, 4))), size=n)
+            train = Dataset(X=X, y=y, n_classes=C)
+
+            assign = np.array([((points - x) ** 2).sum(axis=1).argmin() for x in X])
+            labels = model.labels
+            counts = np.bincount(assign * C + y, minlength=G * C).reshape(G, C)
+            tied = counts == counts.max(axis=1, keepdims=True)
+            new_labels = np.where(tied[np.arange(G), labels], labels, tied.argmax(axis=1))
+            occupied = counts.any(axis=1)
+            changed = bool((new_labels != labels).any() or not occupied.all())
+
+            got = correct(model, train)
+            np.testing.assert_array_equal(got.points, points[occupied])
+            np.testing.assert_array_equal(got.labels, new_labels[occupied])
+            np.testing.assert_array_equal(got.source_classes, model.source_classes[occupied])
+            assert got.correction_iterations == 1 + changed
+
+    def test_class_ids_whose_pair_key_passes_int64(self):
+        # generator 2 x n_classes 4e18 passes int64: the pairs sort as pairs
+        C = 4 * 10**18
+        model = Model(points=[[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]], labels=[C - 1, 3, C - 2],
+                      source_classes=[0, 1, 2], n_classes=C, k=3)
+        train = Dataset(X=[[0.0, 0.0], [1.0, 1.0], [5.0, 5.0]], y=[C - 1, 2, C - 1], n_classes=C)
+        fixed = correct(model, train)
+        assert fixed.labels.tolist() == [C - 1, 2, C - 1]
+        assert fixed.correction_iterations == 2
+
     def test_labels_outside_model_classes(self):
         train = Dataset(X=np.zeros((3, 2)), y=np.array([0, 1, 2]), n_classes=3)
         with pytest.raises(ValueError, match="training labels"):
@@ -844,6 +884,21 @@ class TestClassCount:
         assert all(float(seconds) < 1.0 for seconds in times.split())
         assert round_trip == "True True"
         assert names == "1000000000 999999999 999999999"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+    def test_huge_class_count_corrects_in_its_input(self):
+        # two rows, one of each class, tie in the model's one cell: it keeps its label
+        code = (
+            "import numpy as np\n"
+            "from superklust import Dataset, correct, load_model\n"
+            "train = Dataset(np.array([[0.0, 0.0], [1.0, 1.0]]), [0, 999_999_999], "
+            "n_classes=10**9)\n"
+            "fixed = correct(load_model(sys.argv[1]), train)\n"
+            "print(fixed.labels.tolist(), fixed.correction_iterations)\n"
+        )
+        proc = run_capped(code, HUGE_CLASS_COUNT_DOC)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[999999999] 1\n"
 
 
 class TestSerialization:
