@@ -12,8 +12,9 @@ those of the explicit-difference computation, ties going to the lowest
 site index. Negating a score and doubling p are exact, so the bound
 below holds for the discriminants as for ||p||^2 - 2 p . x.
 
-Lloyd's assignment and the k-means++ weights screen in float64. predict,
-correct and the KNN baseline (k_nearest_sets) share one float32 scan;
+Lloyd's assignment and the k-means++ weights screen in float64. predict
+(scan_row for one row), correct and the KNN baseline (k_nearest_sets)
+share one float32 scan of a DiscriminantBank, built from its sites alone;
 correct and the KNN baseline vote over its answers with majority.
 
 Why the bound holds. Write u for the unit roundoff of a format (2^-53
@@ -60,7 +61,14 @@ or nan gets inf too.
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
+
 import numpy as np
+
+if TYPE_CHECKING:
+    from .tessellation import ScalerParams
 
 # Entries of one block of scores, 8 MB in float64. It bounds the memory
 # of every search and keeps batches of a few thousand rows to one BLAS
@@ -178,14 +186,36 @@ def check_finite(x: np.ndarray, raw: np.ndarray, start: int, what: str = "query"
         raise ValueError(f"non-finite feature in {what} row {i}")
 
 
-def scan(X, forms: np.ndarray, points: np.ndarray, p_max: float, scaler=None,
-         k: int | None = None, what: str = "query") -> np.ndarray:
-    """Per raw row of the 2-D X, the index of its nearest site, or with
-    k the indices of its k nearest, shape (n, k), in no particular order:
-    sites are the rows of points (forms their linear_forms, p_max their
-    largest norm), ordered by (exact_sq_dists, index). A scaler maps raw
-    rows to the sites' coordinates. A row that is not finite, or a finite
-    one that overflows when scaled, raises ValueError naming a what row.
+@dataclass(eq=False)
+class DiscriminantBank:
+    """The sites of a search: points, the (G, d) float64 matrix itself,
+    which the exact re-scoring reads, a label per site, and an optional
+    scaler (a tessellation.ScalerParams) from raw rows to the sites'
+    coordinates. forms, their (d+1, G) linear_forms, and p_max, their
+    largest norm, derive from points; weights is a view of forms."""
+
+    points: np.ndarray
+    labels: np.ndarray
+    scaler: ScalerParams | None = None
+    forms: np.ndarray = field(init=False)
+    p_max: float = field(init=False)
+
+    def __post_init__(self):
+        self.forms = linear_forms(self.points)
+        self.p_max = float(np.sqrt(sq_norms(self.points).max()))
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The (G, d) weights w = 2 p."""
+        return self.forms[:-1].T
+
+
+def scan(X, bank: DiscriminantBank, k: int | None = None, what: str = "query") -> np.ndarray:
+    """Per raw row of the 2-D X (mapped by the bank's scaler), the index
+    of its nearest site of bank by (exact_sq_dists, index), or with k
+    those of its k nearest, shape (n, k), in no particular order. A row
+    that is not finite, or a finite one that overflows when scaled,
+    raises ValueError naming a what row.
 
     Each block of rows, as float64 (scaled into a reused block), is cast
     to a float32 [x, 1] that one GEMM scores against forms. Without k,
@@ -194,6 +224,7 @@ def scan(X, forms: np.ndarray, points: np.ndarray, p_max: float, scaler=None,
     exactly k, else ordered by nearest_among. A call holds one block of
     scores and its query blocks, each of at most BLOCK_ENTRIES entries.
     """
+    forms, points, p_max, scaler = bank.forms, bank.points, bank.p_max, bank.scaler
     d1, G = forms.shape
     n = X.shape[0]
     step = max(1, min(n, block_rows(max(G, d1))))
@@ -231,11 +262,34 @@ def scan(X, forms: np.ndarray, points: np.ndarray, p_max: float, scaler=None,
     return best
 
 
+def scan_row(raw: np.ndarray, bank: DiscriminantBank) -> int:
+    """scan's answer for the one-row input raw, shape (1, d), on vectors
+    and Python floats: at one row, each array operation of the block
+    path costs about as much as the GEMM itself."""
+    forms, p_max, scaler = bank.forms, bank.p_max, bank.scaler
+    x = raw[0].astype(np.float64, copy=False) if scaler is None else scaler.apply(raw[0])
+    x_norm = math.sqrt(np.vdot(x, x))  # inf, not a warning, on overflow
+    q = np.zeros(forms.shape[0], dtype=np.float32)
+    q[-1] = 1.0
+    if x_norm <= SAFE_REACH_32 - p_max:
+        q[:-1] = x
+    s = q @ forms
+    i = int(s.argmax())
+    top = s[i]
+    s[i] = -np.inf
+    gap = top - s[s.argmax()]  # the runner-up; argmax is the cheaper reduction
+    bound = rounding_bound(x_norm, p_max, x.shape[0], np.float32)
+    if gap > bound:
+        return i
+    s[i] = top
+    check_finite(x[None], raw, 0)
+    return int(select(s[None], np.array([bound]), x[None], bank.points)[0])
+
+
 def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int) -> np.ndarray:
-    """For each row of X, the indices of its k nearest rows of P, where
-    rows are ordered by (exact_sq_dists, index); shape (n, k), each row
-    in no particular order: scan of X against the sites P, in one call."""
-    return scan(X, linear_forms(P), P, float(np.sqrt(sq_norms(P).max())), k=k)
+    """Indices of the k nearest rows of P per row of X, shape (n, k), in
+    no particular order, by (exact_sq_dists, index): one scan of sites P."""
+    return scan(X, DiscriminantBank(P, np.arange(len(P))), k=k)
 
 
 def majority(groups: np.ndarray, classes: np.ndarray, prefer=None):

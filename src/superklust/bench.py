@@ -76,7 +76,7 @@ def time_op(thunk, repetitions: int, warmup: int = 0) -> TimingStat:
 @dataclass
 class KnnModel:
     """Stored training set for exact brute-force k-nearest-neighbors; bank
-    holds its rows as generators of their labels, knn_predict's sites."""
+    holds X itself, not a copy, as knn_predict's sites, labeled by y."""
 
     X: np.ndarray
     y: np.ndarray
@@ -85,7 +85,7 @@ class KnnModel:
     bank: DiscriminantBank = field(init=False)
 
     def __post_init__(self):
-        self.bank = DiscriminantBank(_nearest.linear_forms(self.X), labels=self.y, points=self.X)
+        self.bank = DiscriminantBank(self.X, self.y)
 
 
 def knn_fit(train: Dataset, n_neighbors: int) -> KnnModel:
@@ -103,16 +103,16 @@ def knn_predict(model: KnnModel, X) -> np.ndarray:
     (exact explicit-difference squared distance, training index); vote
     ties go to the lowest class id. The vote counts only the classes
     among each query's neighbors, so it costs queries x n_neighbors, not
-    queries x n_classes. The neighbors come from predict's
-    certified float32 scan, _nearest.scan, which raises predict's
-    ValueError naming the first non-finite query row.
+    queries x n_classes. The neighbors come from predict's certified
+    float32 scan of model.bank, which raises predict's ValueError naming
+    the first non-finite query row.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.X.shape[1]:
         raise ValueError(
             f"dimension mismatch: queries must be 2-D with {model.X.shape[1]} features"
         )
-    nn = _nearest.scan(X, model.bank.forms, model.X, model.bank.p_max, k=model.n_neighbors)
+    nn = _nearest.scan(X, model.bank, k=model.n_neighbors)
     # Every query has a vote, so the winners come one per query, in order.
     return _nearest.majority(np.repeat(np.arange(nn.shape[0]), nn.shape[1]), model.y[nn].ravel())[1]
 

@@ -19,6 +19,7 @@ __all__ = ["UsageError", "KMeansConfig", "KMeansResult", "kmeans_pp_init", "lloy
 # The most float64 values, 512 MiB, that one request may need: the k-means++
 # weights of every restart, Lloyd's screen, a grid or a synthetic dataset.
 MAX_VALUES = 1 << 26
+GENERATOR_VALUES = 128  # one restart's random generator, about 940 bytes, in float64 values
 
 
 class UsageError(ValueError):
@@ -32,9 +33,10 @@ def _within_budget(values: int, request: str) -> None:
 
 
 def _within_fit_budget(n_restarts: int, centers: int, rows: int) -> None:
-    """Refuse clustering rows whose k-means++ weights (n_restarts x rows) or Lloyd
-    screen (centers x rows, min(k, rows) for k clusters) pass MAX_VALUES values."""
-    _within_budget(n_restarts * rows, f"n_restarts {n_restarts} x {rows} rows")
+    """Refuse rows whose k-means++ weights and generators (n_restarts x (rows + GENERATOR_VALUES))
+    or Lloyd screen (centers x rows, min(k, rows) for k clusters) pass MAX_VALUES values."""
+    _within_budget(n_restarts * (rows + GENERATOR_VALUES),
+                   f"n_restarts {n_restarts} x ({rows} rows + {GENERATOR_VALUES} for a generator)")
     _within_budget(centers * rows, f"{centers} centers x {rows} rows")
 
 
@@ -191,7 +193,7 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
         )
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    _within_fit_budget(1, centers.shape[0], data.shape[0])
+    _within_fit_budget(0, centers.shape[0], data.shape[0])  # no draws here
     return _lloyd(data, np.sqrt(sq_norms(data)), centers, max_iter)
 
 

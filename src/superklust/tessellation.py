@@ -10,27 +10,27 @@ and ||x||^2 does not depend on the generator, the nearest-generator rule
 equals an argmax over the linear discriminants w = 2 g, b = -||g||^2.
 That makes the classifier piecewise linear and turns batch inference
 into one float32 GEMM per block of rows, [x, 1] against the bank's
-columns [w; b]: _nearest.scan, for predict and correct alike, certifies
-each row's winner against a rounding bound and re-scores the rest
-exactly, so answers equal the explicit-difference argmin of the float64
-distances. The order of generators is part of the model: ties break to
-the lowest index.
+columns [w; b]. The bank, _nearest.DiscriminantBank (re-exported here),
+is built from the generators alone; its search, _nearest.scan for
+predict and correct alike, certifies each row's winner against a
+rounding bound and re-scores the rest exactly, so answers equal the
+explicit-difference argmin of the float64 distances. The order of
+generators is part of the model: ties break to the lowest index.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from operator import eq
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import _nearest
-from ._nearest import sq_norms
+from ._nearest import DiscriminantBank
 from .clustering import KMeansConfig, _within_fit_budget, fit_kmeans
 
 if TYPE_CHECKING:
@@ -244,34 +244,6 @@ class Model(_ArrayEq):
         return [Generator(*row) for row in rows]
 
 
-@dataclass(eq=False)
-class DiscriminantBank:
-    """Linear forms realizing the nearest-generator rule; see the module
-    docstring for the identity.
-
-    forms is the generators' (d+1, G) _nearest.linear_forms; weights is
-    a view of it, not a copy. points is the model's read-only float64
-    generator matrix itself, which the exact re-scoring uses; p_max, the
-    largest generator norm, is derived from it for the certificate.
-    labels holds each generator's class in model order. scaler is the
-    model's (see Model): predict applies it to each query block.
-    """
-
-    forms: np.ndarray
-    labels: np.ndarray
-    points: np.ndarray
-    scaler: ScalerParams | None = None
-    p_max: float = field(init=False)
-
-    def __post_init__(self):
-        self.p_max = float(np.sqrt(sq_norms(self.points).max()))
-
-    @property
-    def weights(self) -> np.ndarray:
-        """The (G, d) weights w = 2 g."""
-        return self.forms[:-1].T
-
-
 def assemble(per_class_centers: list[np.ndarray], k: int | None = None) -> Model:
     """Concatenate per-class center matrices into a labeled model.
 
@@ -308,10 +280,8 @@ def assemble(per_class_centers: list[np.ndarray], k: int | None = None) -> Model
 
 
 def to_discriminants(model: Model) -> DiscriminantBank:
-    """Precompute the float32 linear forms for a model; the bank keeps
-    the model's points, labels and scaler, not copies."""
-    return DiscriminantBank(forms=_nearest.linear_forms(model.points), labels=model.labels,
-                            points=model.points, scaler=model.scaler)
+    """The model's bank: its points, labels and scaler, not copies."""
+    return DiscriminantBank(model.points, model.labels, model.scaler)
 
 
 def predict(bank: DiscriminantBank, X) -> np.ndarray:
@@ -319,8 +289,8 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     explicit float64 squared distance, ties to the lowest generator
     index; equal to the argmax discriminant in exact arithmetic.
 
-    One row goes to _predict_row, more to _nearest.scan. A row that is
-    not finite, or a finite row that overflows when scaled, raises
+    One row goes to _nearest.scan_row, more to _nearest.scan. A row that
+    is not finite, or a finite row that overflows when scaled, raises
     ValueError naming the first such row.
     """
     d = bank.forms.shape[0] - 1
@@ -330,33 +300,9 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     if X.shape[1] != d:
         raise ValueError(f"dimension mismatch: queries have {X.shape[1]} features, expected {d}")
     if X.shape[0] == 1:
-        i = _predict_row(bank, X)
+        i = _nearest.scan_row(X, bank)
         return bank.labels[i : i + 1].copy()
-    return bank.labels[_nearest.scan(X, bank.forms, bank.points, bank.p_max, bank.scaler)]
-
-
-def _predict_row(bank: DiscriminantBank, raw: np.ndarray) -> int:
-    """predict's steps for the one-row input raw, on vectors and Python
-    floats: at one row, each array operation of the block path costs
-    about as much as the GEMM itself."""
-    forms, p_max, scaler = bank.forms, bank.p_max, bank.scaler
-    x = raw[0].astype(np.float64, copy=False) if scaler is None else scaler.apply(raw[0])
-    x_norm = math.sqrt(np.vdot(x, x))  # inf, not a warning, on overflow
-    q = np.zeros(forms.shape[0], dtype=np.float32)
-    q[-1] = 1.0
-    if x_norm <= _nearest.SAFE_REACH_32 - p_max:
-        q[:-1] = x
-    s = q @ forms
-    i = int(s.argmax())
-    top = s[i]
-    s[i] = -np.inf
-    gap = top - s[s.argmax()]  # the runner-up; argmax is the cheaper reduction
-    bound = _nearest.rounding_bound(x_norm, p_max, x.shape[0], np.float32)
-    if gap > bound:
-        return i
-    s[i] = top
-    _nearest.check_finite(x[None], raw, 0)
-    return int(_nearest.select(s[None], np.array([bound]), x[None], bank.points)[0])
+    return bank.labels[_nearest.scan(X, bank)]
 
 
 def _check_labels(model: Model, data: "Dataset", what: str) -> None:
@@ -376,7 +322,7 @@ def _check_labels(model: Model, data: "Dataset", what: str) -> None:
 def correct(model: Model, train: "Dataset") -> Model:
     """Relabel and prune generators against the training partition, in
     one pass: (1) assign every training sample to its nearest generator
-    by predict's scan, _nearest.scan (exact, ties to lowest index);
+    by predict's scan of the model's bank (exact, ties to lowest index);
     (2) give each generator the majority label of its samples, keeping
     the current label when it ties for the majority and otherwise taking
     the lowest tied class id (_nearest.majority, which counts only the
@@ -407,9 +353,7 @@ def correct(model: Model, train: "Dataset") -> Model:
     _check_labels(model, train, "training")
     y = np.asarray(train.y)
     labels = model.labels
-    bank = to_discriminants(model)
-    assign = _nearest.scan(train.X, bank.forms, bank.points, bank.p_max, bank.scaler,
-                           what="training")
+    assign = _nearest.scan(train.X, to_discriminants(model), what="training")
     held, majority = _nearest.majority(assign, y, prefer=labels)
     new_labels, occupied = labels.copy(), np.zeros(labels.shape[0], dtype=bool)
     new_labels[held], occupied[held] = majority, True

@@ -154,6 +154,8 @@ class TestKnn:
         model = knn_fit(train, n_neighbors=1)
         train.X[0, 0] = 99.0
         assert model.X[0, 0] == 1.0
+        # the bank searches that copy itself, not one of its own
+        assert model.bank.points is model.X and model.bank.labels is model.y
 
     def test_neighbor_count_validation(self):
         train = Dataset(X=np.zeros((3, 2)), y=np.zeros(3, dtype=np.int64), n_classes=1)

@@ -823,6 +823,8 @@ OVERSIZED_CASES = [
     ("synth-blobs-dim", "synth blobs --n 3 --classes 3 --dim 1000000000 --out {d}/s.csv"),
     ("synth-blobs-classes", "synth blobs --n 100000000 --classes 100000000 --out {d}/s.csv"),
     ("fit-restarts", "fit --data {d}/big.csv --k 2 --restarts 65536 --out {d}/m.json"),
+    # 2^26 restarts' weights of one row a class fit the budget; their random generators do not
+    ("fit-restarts-generators", "fit --data {d}/tiny.csv --k 1 --restarts 67108864 --out {d}/m.json"),
     ("fit-k", "fit --data {d}/tall.csv --k 9000 --restarts 1 --out {d}/m.json"),
 ]
 
@@ -928,6 +930,7 @@ class TestErrorContract:
         (d / "tiny_scale.csv").write_text("0,0,a\n1e-150,1,a\n0,5,b\n1e-150,6,b\n")
         (d / "big.csv").write_text("".join(f"{i},{i % 7},a\n" for i in range(4096)))
         (d / "tall.csv").write_text("".join(f"{i},{i % 7},a\n" for i in range(9000)))
+        (d / "tiny.csv").write_text("0,0,a\n1,1,b\n")
         models = {"model": "train.csv", "scaled": "tiny_scale.csv"}
         for name, data in models.items():
             ds = load_csv(d / data, label_column=-1)

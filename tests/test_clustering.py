@@ -401,13 +401,18 @@ class TestKMeansConfigValidation:
 
 # Each fitting entry on a request over the 2^26-value budget, and the
 # request its UsageError names: 10^8 restarts of 40 moons rows (20 a
-# class), or Lloyd's screen of 9000 centers on 9000 rows.
+# class), 2^26 restarts of one row a class, whose weights fit the budget
+# but whose random generators do not, or Lloyd's screen of 9000 centers
+# on 9000 rows.
 BUDGET_CASES = {
-    "fit": ("fit(moons, KMeansConfig(k=2, n_restarts=10**8))", "n_restarts 100000000 x 20 rows"),
+    "fit": ("fit(moons, KMeansConfig(k=2, n_restarts=10**8))",
+            "n_restarts 100000000 x (20 rows + 128 for a generator)"),
+    "fit-generators": ("fit(pair, KMeansConfig(k=1, n_restarts=2**26))",
+                       "n_restarts 67108864 x (1 rows + 128 for a generator)"),
     "fit_kmeans": ("fit_kmeans(moons.X, KMeansConfig(k=2, n_restarts=10**8))",
-                   "n_restarts 100000000 x 40 rows"),
+                   "n_restarts 100000000 x (40 rows + 128 for a generator)"),
     "kmeans_pp_init": ("kmeans_pp_init(moons.X, 2, range(10**8))",
-                       "n_restarts 100000000 x 40 rows"),
+                       "n_restarts 100000000 x (40 rows + 128 for a generator)"),
     "lloyd": ("lloyd(tall, tall)", "9000 centers x 9000 rows"),
 }
 
@@ -419,9 +424,10 @@ class TestBudget:
         code = (
             "import time\n"
             "import numpy as np\n"
-            "from superklust import (KMeansConfig, UsageError, fit, fit_kmeans, kmeans_pp_init,\n"
-            "                        lloyd, make_moons)\n"
+            "from superklust import (Dataset, KMeansConfig, UsageError, fit, fit_kmeans,\n"
+            "                        kmeans_pp_init, lloyd, make_moons)\n"
             "moons, tall = make_moons(40, 0.1, 0), np.arange(9000.0)[:, None]\n"
+            "pair = Dataset(np.eye(2), np.arange(2), n_classes=2)\n"
             "start = time.perf_counter()\n"
             "try:\n"
             f"    {call}\n"
@@ -436,20 +442,27 @@ class TestBudget:
         assert message.endswith(" float64 values, over 2^26 (512 MiB)")
 
     def test_limit_is_inclusive(self, monkeypatch):
-        # with a budget of 100 values, 10 x 10 of either array is allowed and 11 x 10 is not
-        monkeypatch.setattr(clustering, "MAX_VALUES", 100)
+        # with a budget of 10 restarts' weights and generators on 10 rows, 10 restarts are
+        # allowed and 11 are not; with one of 100 values, a 10 x 10 screen is and 11 x 10 is not
+        per_restart = 10 + clustering.GENERATOR_VALUES
+        monkeypatch.setattr(clustering, "MAX_VALUES", 10 * per_restart)
         data = np.arange(10.0)[:, None]
         assert len(kmeans_pp_init(data, 1, range(10))) == 10
-        with pytest.raises(UsageError, match="^n_restarts 11 x 10 rows would take 110 "):
+        refused = rf"^n_restarts 11 x \(10 rows \+ 128 for a generator\) would take {11 * per_restart} "
+        with pytest.raises(UsageError, match=refused):
             kmeans_pp_init(data, 1, range(11))
+        monkeypatch.setattr(clustering, "MAX_VALUES", 100)
         assert lloyd(data, data).centers.shape == (10, 1)
         with pytest.raises(UsageError, match="^11 centers x 10 rows would take 110 "):
             lloyd(data, np.arange(11.0)[:, None])
 
     def test_fit_counts_its_largest_class(self, monkeypatch):
-        # 10 restarts of two 10-row classes: 100 weights per class, though 200 rows in all
-        monkeypatch.setattr(clustering, "MAX_VALUES", 100)
+        # 10 restarts of two 10-row classes: 10 x (10 + 128) values per class, though
+        # 10 x (20 + 128) for the rows in all
+        per_restart = 10 + clustering.GENERATOR_VALUES
+        monkeypatch.setattr(clustering, "MAX_VALUES", 10 * per_restart)
         train = Dataset(X=np.arange(20.0)[:, None], y=np.repeat([0, 1], 10), n_classes=2)
         assert fit(train, KMeansConfig(k=10, n_restarts=10)).n_classes == 2
-        with pytest.raises(UsageError, match="^n_restarts 11 x 10 rows would take 110 "):
+        refused = rf"^n_restarts 11 x \(10 rows \+ 128 for a generator\) would take {11 * per_restart} "
+        with pytest.raises(UsageError, match=refused):
             fit(train, KMeansConfig(k=10, n_restarts=11))

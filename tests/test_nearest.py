@@ -9,6 +9,7 @@ import pytest
 
 from superklust import (
     Dataset,
+    DiscriminantBank,
     KMeansConfig,
     Model,
     ScalerParams,
@@ -18,7 +19,7 @@ from superklust import (
     predict,
     to_discriminants,
 )
-from superklust import _nearest, clustering
+from superklust import _nearest, clustering, tessellation
 from superklust.bench import knn_fit, knn_predict
 from superklust._nearest import exact_sq_dists, k_nearest_sets, rounding_bound, sq_norms
 from conftest import predict_oracle, random_labeled_model
@@ -449,6 +450,9 @@ class TestKNearestSets:
         X = np.concatenate([rng.integers(-2, 3, size=(50, 3)) / 2.0, rng.normal(size=(50, 3))])
         got = k_nearest_sets(X, P, k)
         assert [sorted(row) for row in got] == explicit_k_sets(X, P, k)
+        # it is scan's answer for a bank of P, whatever the bank's labels
+        bank = DiscriminantBank(P, rng.integers(5, size=len(P)))
+        np.testing.assert_array_equal(_nearest.scan(X, bank, k=k), got)
 
     def test_huge_norms_take_every_site(self):
         rng = np.random.default_rng(10)
@@ -458,6 +462,20 @@ class TestKNearestSets:
         with np.errstate(over="ignore"):
             want = explicit_k_sets(X, P, 3)
         assert [sorted(row) for row in got] == want
+
+
+class TestBank:
+    def test_forms_and_reach_derived_from_points(self):
+        rng = np.random.default_rng(1)
+        P, labels = rng.normal(0.0, 3.0, (60, 3)), rng.integers(5, size=60)
+        bank = DiscriminantBank(P, labels)
+        want = _nearest.linear_forms(P)
+        assert bank.forms.dtype == want.dtype and bank.forms.tobytes() == want.tobytes()
+        assert bank.p_max == np.sqrt(sq_norms(P).max())
+        assert bank.points is P and bank.labels is labels and bank.scaler is None
+        with pytest.raises(TypeError):
+            DiscriminantBank(P, labels, forms=want)
+        assert DiscriminantBank is tessellation.DiscriminantBank is _nearest.DiscriminantBank
 
 
 class TestRowsBeyondReach:

@@ -280,6 +280,10 @@ class TestPredict:
                 want = predict_oracle(m, Q)
                 np.testing.assert_array_equal(predict(bank, Q), want)
                 np.testing.assert_array_equal(predict(bank, Q[-1:]), want[-1:])
+                # predict's two paths: the scan of the bank and its one-row path
+                rows = [_nearest.scan_row(Q[i : i + 1], bank) for i in range(Q.shape[0])]
+                np.testing.assert_array_equal(rows, _nearest.scan(Q, bank))
+                np.testing.assert_array_equal(bank.labels[rows], want)
 
     def test_predicted_labels_are_model_labels(self):
         rng = np.random.default_rng(3)
