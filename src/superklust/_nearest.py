@@ -12,9 +12,10 @@ those of the explicit-difference computation, ties going to the lowest
 site index. Negating a score and doubling p are exact, so the bound
 below holds for the discriminants as for ||p||^2 - 2 p . x.
 
-Lloyd's assignment and the k-means++ weights screen in float64. predict
-(scan_row for one row), correct and the KNN baseline (k_nearest_sets)
-share one float32 scan of a DiscriminantBank, built from its sites alone;
+Lloyd's assignment and the k-means++ weights screen in float64. predict,
+correct and the KNN baseline share one float32 search: scan, the one
+entry for query rows, which checks them, searches a DiscriminantBank
+built from its sites alone and takes a path of its own for one row;
 correct and the KNN baseline vote over its answers with majority.
 
 Why the bound holds. Write u for the unit roundoff of a format (2^-53
@@ -210,23 +211,60 @@ class DiscriminantBank:
         return self.forms[:-1].T
 
 
-def scan(X, bank: DiscriminantBank, k: int | None = None, what: str = "query") -> np.ndarray:
-    """Per raw row of the 2-D X (mapped by the bank's scaler), the index
-    of its nearest site of bank by (exact_sq_dists, index), or with k
-    those of its k nearest, shape (n, k), in no particular order. A row
-    that is not finite, or a finite one that overflows when scaled,
-    raises ValueError naming a what row.
+def as_real(X, what: str) -> np.ndarray:
+    """X as an array; ValueError unless it holds bools, integers or floats."""
+    X = np.asarray(X)
+    if X.dtype.kind not in "biuf":
+        raise ValueError(f"{what} must hold real numbers, not {X.dtype}")
+    return X
 
-    Each block of rows, as float64 (scaled into a reused block), is cast
-    to a float32 [x, 1] that one GEMM scores against forms. Without k,
-    select decides the block. With k, sites within the rounding bound of
-    the k-th largest score are the candidates: the answer when there are
-    exactly k, else ordered by nearest_among. A call holds one block of
-    scores and its query blocks, each of at most BLOCK_ENTRIES entries.
+
+def scan(X, bank: DiscriminantBank, k: int | None = None, what: str = "query") -> np.ndarray:
+    """Per raw row of X, a 2-D matrix of real numbers as wide as the sites
+    (mapped by the bank's scaler), the index of its nearest site of bank
+    by (exact_sq_dists, index), or with k those of its k nearest, shape
+    (n, k), in no particular order. Other X, a row that is not finite,
+    or a finite one that overflows when scaled, raises ValueError naming
+    the what rows.
+
+    One row without k runs on vectors and Python floats: at one row,
+    each array operation of the block path costs about as much as the
+    GEMM itself. Otherwise each block of rows, as float64 (cast, or
+    scaled into a reused block), is cast to a float32 [x, 1] that one
+    GEMM scores against forms. Without k, select decides the block. With
+    k, sites within the rounding bound of the k-th largest score are the
+    candidates: the answer when there are exactly k, else ordered by
+    nearest_among. A call holds one block of scores and its query
+    blocks, each of at most BLOCK_ENTRIES entries.
     """
     forms, points, p_max, scaler = bank.forms, bank.points, bank.p_max, bank.scaler
     d1, G = forms.shape
+    X = as_real(X, f"{what} rows")
+    if X.ndim != 2:
+        raise ValueError(f"{what} rows must form a 2-D matrix, not shape {X.shape}")
+    if X.shape[1] != d1 - 1:
+        raise ValueError(
+            f"dimension mismatch: {what} rows have {X.shape[1]} features, expected {d1 - 1}"
+        )
     n = X.shape[0]
+    if n == 1 and k is None:
+        x = X[0].astype(np.float64, copy=False) if scaler is None else scaler.apply(X[0])
+        x_norm = math.sqrt(np.vdot(x, x))  # inf, not a warning, on overflow
+        q = np.empty(d1, dtype=np.float32)
+        q[-1] = 1.0
+        q[:-1] = x if x_norm <= SAFE_REACH_32 - p_max else 0.0
+        s = q @ forms
+        best = s.argmax(keepdims=True)
+        i = int(best[0])
+        top = s[i]
+        s[i] = -np.inf
+        gap = top - s[s.argmax()]  # the runner-up; argmax is the cheaper reduction
+        bound = rounding_bound(x_norm, p_max, d1 - 1, np.float32)
+        if gap > bound:
+            return best
+        s[i] = top
+        check_finite(x[None], X, 0, what)
+        return select(s[None], np.array([bound]), x[None], points)
     step = max(1, min(n, block_rows(max(G, d1))))
     rows = None if scaler is None else np.empty((step, d1 - 1))
     queries = np.empty((step, d1), dtype=np.float32)
@@ -260,36 +298,6 @@ def scan(X, bank: DiscriminantBank, k: int | None = None, what: str = "query") -
         rest = np.flatnonzero(counts != k)
         best[start + rest] = nearest_among(x[rest], points, cand[rest], k)
     return best
-
-
-def scan_row(raw: np.ndarray, bank: DiscriminantBank) -> int:
-    """scan's answer for the one-row input raw, shape (1, d), on vectors
-    and Python floats: at one row, each array operation of the block
-    path costs about as much as the GEMM itself."""
-    forms, p_max, scaler = bank.forms, bank.p_max, bank.scaler
-    x = raw[0].astype(np.float64, copy=False) if scaler is None else scaler.apply(raw[0])
-    x_norm = math.sqrt(np.vdot(x, x))  # inf, not a warning, on overflow
-    q = np.zeros(forms.shape[0], dtype=np.float32)
-    q[-1] = 1.0
-    if x_norm <= SAFE_REACH_32 - p_max:
-        q[:-1] = x
-    s = q @ forms
-    i = int(s.argmax())
-    top = s[i]
-    s[i] = -np.inf
-    gap = top - s[s.argmax()]  # the runner-up; argmax is the cheaper reduction
-    bound = rounding_bound(x_norm, p_max, x.shape[0], np.float32)
-    if gap > bound:
-        return i
-    s[i] = top
-    check_finite(x[None], raw, 0)
-    return int(select(s[None], np.array([bound]), x[None], bank.points)[0])
-
-
-def k_nearest_sets(X: np.ndarray, P: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k nearest rows of P per row of X, shape (n, k), in
-    no particular order, by (exact_sq_dists, index): one scan of sites P."""
-    return scan(X, DiscriminantBank(P, np.arange(len(P))), k=k)
 
 
 def majority(groups: np.ndarray, classes: np.ndarray, prefer=None):

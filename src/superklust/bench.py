@@ -104,14 +104,10 @@ def knn_predict(model: KnnModel, X) -> np.ndarray:
     ties go to the lowest class id. The vote counts only the classes
     among each query's neighbors, so it costs queries x n_neighbors, not
     queries x n_classes. The neighbors come from predict's certified
-    float32 scan of model.bank, which raises predict's ValueError naming
-    the first non-finite query row.
+    float32 scan of model.bank, which checks the queries as predict's,
+    casting them to float64 block by block, and raises predict's
+    ValueError naming the first non-finite query row.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.X.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: queries must be 2-D with {model.X.shape[1]} features"
-        )
     nn = _nearest.scan(X, model.bank, k=model.n_neighbors)
     # Every query has a vote, so the winners come one per query, in order.
     return _nearest.majority(np.repeat(np.arange(nn.shape[0]), nn.shape[1]), model.y[nn].ravel())[1]

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._nearest import exact_sq_dists, rounding_bound, select, sq_norms
+from ._nearest import as_real, exact_sq_dists, rounding_bound, select, sq_norms
 
 __all__ = ["UsageError", "KMeansConfig", "KMeansResult", "kmeans_pp_init", "lloyd", "fit_kmeans"]
 
@@ -40,6 +40,13 @@ def _within_fit_budget(n_restarts: int, centers: int, rows: int) -> None:
     _within_budget(centers * rows, f"{centers} centers x {rows} rows")
 
 
+def _count(name: str, value, least: int) -> int:
+    """value as an int >= least: numpy integers are accepted, bools refused."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class KMeansConfig:
     """Parameters for one clustering run.
@@ -59,10 +66,7 @@ class KMeansConfig:
 
     def __post_init__(self):
         for name, least in (("k", 1), ("max_iter", 1), ("n_restarts", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))  # frozen; numpy integers wrap
+            object.__setattr__(self, name, _count(name, getattr(self, name), least))  # frozen
 
 
 @dataclass
@@ -83,7 +87,7 @@ class KMeansResult:
 
 
 def _as_matrix(data, name: str) -> np.ndarray:
-    data = np.asarray(data, dtype=np.float64)
+    data = as_real(data, name).astype(np.float64, copy=False)
     if data.ndim != 2 or data.size == 0:
         raise ValueError(f"empty input: {name} must be a nonempty 2-D matrix")
     if not np.isfinite(data).all():
@@ -91,7 +95,7 @@ def _as_matrix(data, name: str) -> np.ndarray:
     return data
 
 
-def kmeans_pp_init(data, k: int, seed) -> np.ndarray | list[np.ndarray]:
+def kmeans_pp_init(data, k: int, seed: int) -> np.ndarray:
     """Pick min(k, n) initial centers from the rows of data via k-means++.
 
     The first center is drawn uniformly; each later center is a data row
@@ -99,30 +103,27 @@ def kmeans_pp_init(data, k: int, seed) -> np.ndarray | list[np.ndarray]:
     nearest already-chosen center, so already-chosen rows have zero
     selection weight. A draw aims at u times the last cumulative weight,
     so it lands on a row of positive weight. Deterministic given seed.
-    Given a sequence of R seeds, returns one matrix per seed, drawn
-    together from one (R, n) array of weights: per step one (n x d) .
-    (d x R) GEMM, rounding bound, exact recompute of the weights near
-    zero and cumulative sum. Only each seed's random stream and
-    inverse-CDF draw stay its own. The GEMM's weights can differ from a
-    lone seed's GEMV in their last bits, which changes a draw only if
-    its target lies that close to an interval's edge. Raises ValueError
-    when the squared distances overflow float64, as no draw is defined;
-    see _within_fit_budget for the UsageError raised before any draw.
-    data and k are validated here, then the draws run in _kmeans_pp,
-    which fit_kmeans calls directly with its own validated rows.
+    Raises ValueError when the squared distances overflow float64, as no
+    draw is defined; see _within_fit_budget for the UsageError raised
+    before any draw. data, k (an integer >= 1) and seed (one >= 0) are
+    validated here, then the draw runs in _kmeans_pp, which fit_kmeans
+    calls directly with its own validated rows and all of its seeds.
     """
     data = _as_matrix(data, "data")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    single = isinstance(seed, (int, np.integer))
-    chosen = _kmeans_pp(data, sq_norms(data), k, [seed] if single else seed)
-    return data[chosen[0]] if single else [data[c] for c in chosen]
+    seeds = [_count("seed", seed, 0)]
+    return data[_kmeans_pp(data, sq_norms(data), _count("k", k, 1), seeds)[0]]
 
 
 def _kmeans_pp(data: np.ndarray, x_sq: np.ndarray, k: int, seeds) -> np.ndarray:
     """kmeans_pp_init's draws on validated data with squared row norms
     x_sq: the chosen row indices, one row of min(k, n) per seed (a range
-    of seeds stays lazy)."""
+    of seeds stays lazy). The R seeds draw together from one (R, n)
+    array of weights: per step one (n x d) . (d x R) GEMM, rounding
+    bound, exact recompute of the weights near zero and cumulative sum.
+    Only each seed's random stream and inverse-CDF draw stay its own.
+    The GEMM's weights can differ from a lone seed's GEMV in their last
+    bits, which changes a draw only if its target lies that close to an
+    interval's edge."""
     n = data.shape[0]
     _within_fit_budget(len(seeds), min(k, n), n)
     rngs = [np.random.default_rng(s) for s in seeds]
@@ -191,8 +192,7 @@ def lloyd(data, init_centers, max_iter: int = 100) -> KMeansResult:
             f"dimension mismatch: data has {data.shape[1]} features, "
             f"init_centers has {centers.shape[1]}"
         )
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    max_iter = _count("max_iter", max_iter, 1)
     _within_fit_budget(0, centers.shape[0], data.shape[0])  # no draws here
     return _lloyd(data, np.sqrt(sq_norms(data)), centers, max_iter)
 

@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .tessellation import DiscriminantBank, ScalerParams, _count, _IdNames, _names, predict
+from ._nearest import as_real
+from .clustering import _count
+from .tessellation import DiscriminantBank, ScalerParams, _IdNames, _names, predict
 
 __all__ = [
     "Dataset",
@@ -53,7 +55,7 @@ class Dataset:
     label_names: Sequence[str] | None = None
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
+        self.X = as_real(self.X, "X").astype(np.float64, copy=False)
         y = np.asarray(self.y)
         # an int64 class id each, not truncated to one; nan fails the compare
         if y.dtype.kind == "f" and not ((np.abs(y) < 2.0**63) & (np.trunc(y) == y)).all():

@@ -12,10 +12,10 @@ That makes the classifier piecewise linear and turns batch inference
 into one float32 GEMM per block of rows, [x, 1] against the bank's
 columns [w; b]. The bank, _nearest.DiscriminantBank (re-exported here),
 is built from the generators alone; its search, _nearest.scan for
-predict and correct alike, certifies each row's winner against a
-rounding bound and re-scores the rest exactly, so answers equal the
-explicit-difference argmin of the float64 distances. The order of
-generators is part of the model: ties break to the lowest index.
+predict and correct alike, checks the rows, certifies each winner
+against a rounding bound and re-scores the rest exactly, so answers
+equal the explicit-difference argmin of the float64 distances. The
+order of generators is part of the model: ties go to the lowest index.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import _nearest
 from ._nearest import DiscriminantBank
-from .clustering import KMeansConfig, _within_fit_budget, fit_kmeans
+from .clustering import KMeansConfig, _count, _within_fit_budget, fit_kmeans
 
 if TYPE_CHECKING:
     from .datasets import Dataset
@@ -72,14 +72,6 @@ class ModelVersionError(ModelFormatError):
 
 class NonFiniteModelError(ModelFormatError):
     code = "non-finite"
-
-
-def _count(name: str, value, least: int) -> int:
-    """value as an int >= least: numpy integers are accepted, bools refused."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < least:
-        kind = "positive" if least else "nonnegative"
-        raise ValueError(f"{name} must be a {kind} integer")
-    return int(value)
 
 
 class _IdNames(Sequence):
@@ -289,19 +281,10 @@ def predict(bank: DiscriminantBank, X) -> np.ndarray:
     explicit float64 squared distance, ties to the lowest generator
     index; equal to the argmax discriminant in exact arithmetic.
 
-    One row goes to _nearest.scan_row, more to _nearest.scan. A row that
-    is not finite, or a finite row that overflows when scaled, raises
-    ValueError naming the first such row.
+    _nearest.scan searches and checks the rows: X must be a 2-D matrix
+    of real numbers as wide as the model; ValueError names the first row
+    that is not finite, or overflows when scaled.
     """
-    d = bank.forms.shape[0] - 1
-    X = np.asarray(X)
-    if X.ndim != 2:
-        raise ValueError("queries must form a 2-D matrix")
-    if X.shape[1] != d:
-        raise ValueError(f"dimension mismatch: queries have {X.shape[1]} features, expected {d}")
-    if X.shape[0] == 1:
-        i = _nearest.scan_row(X, bank)
-        return bank.labels[i : i + 1].copy()
     return bank.labels[_nearest.scan(X, bank)]
 
 
@@ -339,17 +322,14 @@ def correct(model: Model, train: "Dataset") -> Model:
     keep every majority label and find no empty cell. So
     correction_iterations grows by the passes the rule takes to reach a
     pass that changes nothing: 1 if nothing is relabeled or dropped,
-    else 2. Training rows are raw (see Model.scaler); one that overflows
-    when scaled raises, as do labels that are not the model's (see
-    evaluate). label_names and scaler carry over.
+    else 2. Training rows are raw (see Model.scaler); the scan checks
+    them as it does predict's, naming them training rows, so rows of
+    another width, or one that overflows when scaled, raise, as do
+    labels that are not the model's (see evaluate). label_names and
+    scaler carry over.
     """
     if train.X.shape[0] == 0:
         raise ValueError("training set must not be empty")
-    if train.X.shape[1] != model.d:
-        raise ValueError(
-            f"dimension mismatch: training data has {train.X.shape[1]} features, "
-            f"model has {model.d}"
-        )
     _check_labels(model, train, "training")
     y = np.asarray(train.y)
     labels = model.labels

@@ -13,6 +13,7 @@ from superklust import (
     kmeans_pp_init,
     lloyd,
 )
+from superklust._nearest import sq_norms
 from conftest import kmeans_oracle, kmeans_pp_oracle, lloyd_oracle, run_capped
 
 
@@ -34,6 +35,12 @@ def check_fixed_point(data, result, max_iter=100):
     means = np.array([data[assign == j].mean(axis=0) for j in range(result.centers.shape[0])])
     np.testing.assert_array_equal(result.centers, means)
     assert result.inertia == float(np.square(data - means[assign]).sum())
+
+
+def drawn_together(data, k, seeds):
+    """The k-means++ centers of each of seeds, drawn together as
+    fit_kmeans draws its restarts'."""
+    return data[clustering._kmeans_pp(data, sq_norms(data), k, seeds)]
 
 
 def inertia_steps(data, init, steps):
@@ -85,6 +92,18 @@ class TestKMeansPlusPlusInit:
         with pytest.raises(ValueError, match="k must be"):
             kmeans_pp_init(np.array([[1.0]]), k=0, seed=0)
 
+    @pytest.mark.parametrize("k, seed", [(1, []), (1, [0, 1]), (1, 1.5), (1, -1), (1, True),
+                                         (True, 0), (1.5, 0), (np.float64(2.0), 0)])
+    def test_counts_by_the_config_rule(self, k, seed):
+        # one seed, never a sequence of them (an empty one drew no centers)
+        with pytest.raises(ValueError, match=r"^(k|seed) must be an integer >= [01], got "):
+            kmeans_pp_init(np.arange(4.0)[:, None], k, seed)
+
+    def test_numpy_integer_counts(self):
+        data = np.arange(6.0)[:, None]
+        want = kmeans_pp_init(data, 3, 7)
+        np.testing.assert_array_equal(kmeans_pp_init(data, np.int32(3), np.uint8(7)), want)
+
     def test_draw_never_passes_the_last_row(self, monkeypatch):
         # The weights are 1e16 and 998 ones. Added in sequence, each one rounds
         # away; the pairwise sum keeps most of them. A draw of u just below 1
@@ -101,7 +120,7 @@ class TestKMeansPlusPlusInit:
         data[1, 0] = 1e8
         monkeypatch.setattr(np.random, "default_rng", lambda seed: EdgeStream())
         np.testing.assert_array_equal(kmeans_pp_init(data, k=2, seed=0), data[[0, 1]])
-        for centers in kmeans_pp_init(data, k=2, seed=[0, 1]):
+        for centers in drawn_together(data, 2, [0, 1]):
             np.testing.assert_array_equal(centers, data[[0, 1]])
         np.testing.assert_array_equal(kmeans_pp_oracle(data, 2, 0), data[[0, 1]])
 
@@ -162,6 +181,12 @@ class TestLloyd:
     def test_non_finite_data(self):
         with pytest.raises(ValueError, match="non-finite feature"):
             lloyd(np.array([[np.inf, 0.0]]), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("max_iter", [0, 1.5, True, 2.0, None])
+    def test_max_iter_counts_by_the_config_rule(self, max_iter):
+        # 1.5 used to run two updates, and True one
+        with pytest.raises(ValueError, match="^max_iter must be an integer >= 1, got "):
+            lloyd(np.arange(4.0)[:, None], np.zeros((1, 1)), max_iter)
 
 
 class TestFitKmeans:
@@ -308,7 +333,7 @@ class TestAgainstOracle:
         for _ in range(100):
             data = random_instance(rng)
             k, seeds = int(rng.integers(1, 25)), rng.integers(1 << 32, size=int(rng.integers(1, 5)))
-            together = kmeans_pp_init(data, k, seeds.tolist())
+            together = drawn_together(data, k, seeds.tolist())
             assert len(together) == seeds.size
             for seed, centers in zip(seeds.tolist(), together):
                 np.testing.assert_array_equal(centers, kmeans_pp_init(data, k, seed))
@@ -361,7 +386,7 @@ class TestAgainstOracle:
             distinct = rng.integers(-3, 4, size=shape).astype(float)
             data = distinct[rng.integers(shape[0], size=int(rng.integers(5, 120)))]
             k, seeds = int(rng.integers(1, 10)), rng.integers(1 << 32, size=int(rng.integers(2, 6)))
-            together = kmeans_pp_init(data, k, seeds.tolist())
+            together = drawn_together(data, k, seeds.tolist())
             for seed, centers in zip(seeds.tolist(), together):
                 np.testing.assert_array_equal(centers, kmeans_pp_init(data, k, seed))
                 np.testing.assert_array_equal(centers, kmeans_pp_oracle(data, k, seed))
@@ -399,11 +424,28 @@ class TestKMeansConfigValidation:
         assert_same_run(fit_kmeans(data, config), want)
 
 
+@pytest.mark.parametrize(
+    "rows", [np.array([[1 + 2j, 0.0]]), [[1 + 2j, 0.0]], [[None, 0.0]], [["1", "2"]]],
+    ids=["complex", "complex-list", "object", "strings"],
+)
+def test_rows_must_be_real(rows):
+    # refused by every entry, not truncated to their real part, nor a TypeError
+    calls = [
+        ("data", lambda: lloyd(rows, np.zeros((1, 2)))),
+        ("init_centers", lambda: lloyd(np.zeros((1, 2)), rows)),
+        ("data", lambda: kmeans_pp_init(rows, 1, 0)),
+        ("data", lambda: fit_kmeans(rows, KMeansConfig(k=1))),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name} must hold real numbers, not "):
+            call()
+
+
 # Each fitting entry on a request over the 2^26-value budget, and the
 # request its UsageError names: 10^8 restarts of 40 moons rows (20 a
 # class), 2^26 restarts of one row a class, whose weights fit the budget
-# but whose random generators do not, or Lloyd's screen of 9000 centers
-# on 9000 rows.
+# but whose random generators do not, or the screen of 9000 centers on
+# 9000 rows that Lloyd or a 9000-center k-means++ draw would make.
 BUDGET_CASES = {
     "fit": ("fit(moons, KMeansConfig(k=2, n_restarts=10**8))",
             "n_restarts 100000000 x (20 rows + 128 for a generator)"),
@@ -411,8 +453,7 @@ BUDGET_CASES = {
                        "n_restarts 67108864 x (1 rows + 128 for a generator)"),
     "fit_kmeans": ("fit_kmeans(moons.X, KMeansConfig(k=2, n_restarts=10**8))",
                    "n_restarts 100000000 x (40 rows + 128 for a generator)"),
-    "kmeans_pp_init": ("kmeans_pp_init(moons.X, 2, range(10**8))",
-                       "n_restarts 100000000 x (40 rows + 128 for a generator)"),
+    "kmeans_pp_init": ("kmeans_pp_init(tall, 9000, 0)", "9000 centers x 9000 rows"),
     "lloyd": ("lloyd(tall, tall)", "9000 centers x 9000 rows"),
 }
 
@@ -447,10 +488,10 @@ class TestBudget:
         per_restart = 10 + clustering.GENERATOR_VALUES
         monkeypatch.setattr(clustering, "MAX_VALUES", 10 * per_restart)
         data = np.arange(10.0)[:, None]
-        assert len(kmeans_pp_init(data, 1, range(10))) == 10
+        assert fit_kmeans(data, KMeansConfig(k=1, n_restarts=10)).centers.shape == (1, 1)
         refused = rf"^n_restarts 11 x \(10 rows \+ 128 for a generator\) would take {11 * per_restart} "
         with pytest.raises(UsageError, match=refused):
-            kmeans_pp_init(data, 1, range(11))
+            fit_kmeans(data, KMeansConfig(k=1, n_restarts=11))
         monkeypatch.setattr(clustering, "MAX_VALUES", 100)
         assert lloyd(data, data).centers.shape == (10, 1)
         with pytest.raises(UsageError, match="^11 centers x 10 rows would take 110 "):

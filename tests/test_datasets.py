@@ -57,6 +57,20 @@ class TestDatasetType:
         with pytest.raises(ValueError, match="one label per row"):
             Dataset(X=np.zeros((3, 2)), y=np.array([0, 1]), n_classes=2)
 
+    @pytest.mark.parametrize(
+        "X", [np.array([[1 + 2j, 0.0]]), [[1 + 2j, 0.0]], [[None, 0.0]], [["1", "2"]]],
+        ids=["complex", "complex-list", "object", "strings"],
+    )
+    def test_features_must_be_real(self, X):
+        # refused, not truncated to their real part ([[1, 0]]), nor a TypeError
+        with pytest.raises(ValueError, match="^X must hold real numbers, not "):
+            Dataset(X=X, y=[0], n_classes=1)
+
+    def test_integer_and_bool_features_become_float(self):
+        for X in ([[1, 0]], np.array([[True, False]])):
+            ds = Dataset(X=X, y=[0], n_classes=1)
+            assert ds.X.dtype == np.float64 and ds.X.tolist() == [[1.0, 0.0]]
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(X=np.array([[np.inf, 0.0]]), y=np.array([0]), n_classes=1)
@@ -78,7 +92,7 @@ class TestDatasetType:
         "n_classes", [2.5, 2.0, True, 0], ids=["fraction", "float", "bool", "zero"]
     )
     def test_n_classes_must_be_an_integer(self, n_classes):
-        with pytest.raises(ValueError, match="^n_classes must be a positive integer$"):
+        with pytest.raises(ValueError, match="^n_classes must be an integer >= 1, got "):
             Dataset(X=np.zeros((2, 1)), y=[0, 1], n_classes=n_classes)
 
     def test_numpy_integer_n_classes_stored_as_int(self):

@@ -21,7 +21,7 @@ from superklust import (
 )
 from superklust import _nearest, clustering, tessellation
 from superklust.bench import knn_fit, knn_predict
-from superklust._nearest import exact_sq_dists, k_nearest_sets, rounding_bound, sq_norms
+from superklust._nearest import exact_sq_dists, rounding_bound, sq_norms
 from conftest import predict_oracle, random_labeled_model
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -226,7 +226,7 @@ def gamma(n: int, u: Fraction) -> Fraction:
 
 
 class TestScreenError:
-    """The float32 scan of predict and k_nearest_sets, the float64
+    """The float32 scan of predict and of the k nearest sites, the float64
     screen of Lloyd, and the explicit float64 reference, within the
     error bounds that the _nearest docstring derives, checked against
     exact rational arithmetic on their float64 inputs: a screen value
@@ -310,7 +310,7 @@ class TestScreenError:
     ])
     def test_k_nearest_screen_within_the_derivation(self, monkeypatch, d, n_rows, n_sites,
                                                     samples):
-        # k_nearest_sets' float32 scores [x, 1] . forms, as the scan hands
+        # the k-nearest scan's float32 scores [x, 1] . forms, as it hands
         # them to np.partition; rounding_bound covers twice the sum of
         # their error and the reference's
         calls, partition = [], np.partition
@@ -323,7 +323,7 @@ class TestScreenError:
         rng = np.random.default_rng(200 + d)
         X = rng.normal(0.0, 3.0, (n_rows, d)) * rng.choice([1e-3, 1.0, 1e3], (n_rows, 1))
         P = rng.normal(0.0, 3.0, (n_sites, d)) * rng.choice([1e-3, 1.0, 1e3], (n_sites, 1))
-        k_nearest_sets(X, P, 3)
+        _nearest.scan(X, DiscriminantBank(P, np.arange(len(P))), k=3)
         [scores] = calls
         for i, j in zip(rng.integers(n_rows, size=samples), rng.integers(n_sites, size=samples)):
             r2 = Fraction(float(np.linalg.norm(X[i]) + np.linalg.norm(P[j]))) ** 2
@@ -359,7 +359,7 @@ class TestScreenError:
             # Lloyd's screen; at a = 2^-8, the errors of ||p||^2 lead
             lead(0.25, np.spacing(0.5) / 2 * near / (2 * s64)),
             lead(2.0**-8, np.spacing(2.0**-7) / 2 * near / (2 * s64)),
-            # the float32 scan of predict and k_nearest_sets
+            # the float32 scan of predict and of the k nearest sites
             lead(1.0, float(np.spacing(np.float32(2.0))) / 2 * near / (2 * s32)),
             # the reference: (p - x)^2 leads with 4, then terms just above
             # half an ulp of it
@@ -417,7 +417,7 @@ class TestScreenError:
         monkeypatch.setattr(clustering, "select", capture_lloyd)
         monkeypatch.setattr(np, "partition", capture_knn)
         lloyd(X, P, max_iter=1)
-        k_nearest_sets(X, P, 1)
+        _nearest.scan(X, DiscriminantBank(P, np.arange(len(P))), k=1)
         screens = [
             (f32_scores, np.float32, gamma(d + 5, self.U32), (2 * d + 3) * self.TAU32),
             (lloyd_calls[0], np.float64, gamma(d + 1, self.U64), 4 * d * self.TAU64),
@@ -448,7 +448,7 @@ class TestKNearestSets:
         rng = np.random.default_rng(9)
         P = rng.integers(-2, 3, size=(80, 3)).astype(float)  # many exact ties
         X = np.concatenate([rng.integers(-2, 3, size=(50, 3)) / 2.0, rng.normal(size=(50, 3))])
-        got = k_nearest_sets(X, P, k)
+        got = _nearest.scan(X, DiscriminantBank(P, np.arange(len(P))), k=k)
         assert [sorted(row) for row in got] == explicit_k_sets(X, P, k)
         # it is scan's answer for a bank of P, whatever the bank's labels
         bank = DiscriminantBank(P, rng.integers(5, size=len(P)))
@@ -458,7 +458,7 @@ class TestKNearestSets:
         rng = np.random.default_rng(10)
         P = rng.normal(size=(30, 4)) * 1e200
         X = rng.normal(size=(10, 4)) * 1e200
-        got = k_nearest_sets(X, P, 3)  # must not warn
+        got = _nearest.scan(X, DiscriminantBank(P, np.arange(len(P))), k=3)  # must not warn
         with np.errstate(over="ignore"):
             want = explicit_k_sets(X, P, 3)
         assert [sorted(row) for row in got] == want
@@ -476,6 +476,42 @@ class TestBank:
         with pytest.raises(TypeError):
             DiscriminantBank(P, labels, forms=want)
         assert DiscriminantBank is tessellation.DiscriminantBank is _nearest.DiscriminantBank
+
+
+def rows_through(entry, X):
+    """The labels that entry (predict, knn_predict, or correct, for the
+    generators) gives on the rows X, against two sites of two features."""
+    model = Model(points=[[0.0, 0.0], [1.0, 1.0]], labels=[0, 1], source_classes=[0, 1],
+                  n_classes=2, k=1)
+    if entry == "predict":
+        return predict(to_discriminants(model), X)
+    if entry == "knn_predict":
+        return knn_predict(knn_fit(Dataset(model.points, model.labels, n_classes=2), 1), X)
+    train = Dataset(X=np.zeros((len(X), 2)), y=np.zeros(len(X), dtype=np.int64), n_classes=2)
+    train.X = X  # past Dataset's own checks
+    return correct(model, train).labels
+
+
+class TestQueryRows:
+    """predict, knn_predict and correct leave their rows to _nearest.scan,
+    which checks them on its one-row and block paths alike."""
+
+    @pytest.mark.parametrize("n", [1, 5], ids=["one-row", "many-rows"])
+    @pytest.mark.parametrize("entry, what", [
+        ("predict", "query"), ("knn_predict", "query"), ("correct", "training"),
+    ])
+    def test_bad_rows_get_the_scan_messages(self, entry, what, n):
+        for X, message in (
+            (np.zeros(n), rf"^{what} rows must form a 2-D matrix, not shape \({n},\)$"),
+            (np.zeros((n, 3)), f"^dimension mismatch: {what} rows have 3 features, expected 2$"),
+            (np.full((n, 2), 1 + 5j), f"^{what} rows must hold real numbers, not complex128$"),
+            (np.full((n, 2), None), f"^{what} rows must hold real numbers, not object$"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                rows_through(entry, X)
+        # integer rows are cast to the float64 rows they equal
+        np.testing.assert_array_equal(rows_through(entry, np.ones((n, 2), dtype=np.int32)),
+                                      rows_through(entry, np.ones((n, 2))))
 
 
 class TestRowsBeyondReach:
@@ -520,7 +556,7 @@ class TestSmallBlocks:
         rng = np.random.default_rng(13)
         P = rng.integers(-2, 3, size=(40, 3)).astype(float)
         X = rng.integers(-3, 4, size=(200, 3)) / 2.0
-        got = k_nearest_sets(X, P, 4)
+        got = _nearest.scan(X, DiscriminantBank(P, np.arange(len(P))), k=4)
         assert [sorted(row) for row in got] == explicit_k_sets(X, P, 4)
 
     def test_predict(self):

@@ -142,7 +142,7 @@ class TestModelValidation:
         # each value here used to build a Model whose saved bytes load_model
         # rejected, or (a bool) reloaded as the integer
         scalars = {"n_classes": 2, "k": 2, "correction_iterations": 0, field: value}
-        with pytest.raises(ValueError, match=f"^{field} must be a (positive|nonnegative) integer$"):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer >= [01], got "):
             Model(points=[[0.0]], labels=[0], source_classes=[0], **scalars)
 
     def test_numpy_integer_fields_stored_as_int(self):
@@ -280,8 +280,8 @@ class TestPredict:
                 want = predict_oracle(m, Q)
                 np.testing.assert_array_equal(predict(bank, Q), want)
                 np.testing.assert_array_equal(predict(bank, Q[-1:]), want[-1:])
-                # predict's two paths: the scan of the bank and its one-row path
-                rows = [_nearest.scan_row(Q[i : i + 1], bank) for i in range(Q.shape[0])]
+                # the scan's two paths: its blocks and its one-row path
+                rows = [_nearest.scan(Q[i : i + 1], bank)[0] for i in range(Q.shape[0])]
                 np.testing.assert_array_equal(rows, _nearest.scan(Q, bank))
                 np.testing.assert_array_equal(bank.labels[rows], want)
 
